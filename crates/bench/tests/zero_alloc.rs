@@ -83,9 +83,10 @@ fn warmed_chaos_simulation(p: usize) -> Simulation {
         .expect("valid script")
         .compile(p)
         .expect("compiles");
-    let mut sim = Simulation::new_rows_in(
+    let mut sim = Simulation::new_multi_rows_in(
         &platform,
-        &app,
+        &[AppSpec::rigid(app)],
+        SharePolicy::default(),
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
         Box::new(rows),
         SimOptions {
@@ -119,7 +120,7 @@ fn warmed_two_app_simulation(p: usize) -> Simulation {
                 .build_source(SeedPath::root(2).child(q as u64).rng())
         })
         .collect();
-    Simulation::new_multi(
+    Simulation::new_multi_in(
         &platform,
         &specs,
         SharePolicy::Weighted,

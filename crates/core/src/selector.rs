@@ -8,12 +8,12 @@
 //! re-prices every candidate at once. This module isolates the data
 //! structure answering those queries behind `Selector`, with three
 //! implementations that produce **bit-identical decision sequences** and
-//! differ only in access pattern:
+//! differ only in access pattern (the linear scan doubles as the
+//! differential reference for the two trees):
 //!
 //! | selector | select | winner re-score | wholesale refresh |
 //! |---|---|---|---|
 //! | [`SelectorKind::Linear`]    | `O(u)` dense scan | free | free |
-//! | [`SelectorKind::LazyHeap`]  | `O(1)` + validate | sift `O(log₄ u)` fan-out | Floyd `O(u)` |
 //! | [`SelectorKind::LoserTree`] | `O(1)` read | one leaf-to-root path, `⌈log₂ u⌉` | bottom-up `O(u)` |
 //! | [`SelectorKind::ShardedTree`] | `O(1)` read | one shard path `⌈log₂(u/s)⌉` + `s`-key tournament | per-shard `O(u)` |
 //!
@@ -27,9 +27,7 @@
 //! so the comparison count is both smaller and branch-predictable. An
 //! Equation-(2) ceiling step re-prices every leaf, so the refresh is
 //! *round-batched*: the caller re-evaluates all scores in one dense pass
-//! first, then one `O(u)` bottom-up rebuild touches each leaf once —
-//! instead of each changed entry paying a later pop-validate retry (the
-//! lazy heap's repair discipline).
+//! first, then one `O(u)` bottom-up rebuild touches each leaf once.
 //!
 //! ## Exactness
 //!
@@ -41,23 +39,20 @@
 //! bare scores), reproducing the linear scan's strict-`<` lowest-id rule
 //! even when duplicate scores land in different subtrees of a padded,
 //! non-power-of-two tournament. The differential tests below and the
-//! greedy proptest (all 8 families × all 3 selectors vs a cache-free naive
+//! greedy proptest (all 8 families × every selector vs a cache-free naive
 //! model) pin this.
 //!
-//! ## Staleness contracts
+//! ## Staleness contract
 //!
-//! The lazy heap stores `(score, pos)` *copies* and tolerates stale ones
-//! (scores are monotone non-decreasing within a round, so a stale entry
-//! under-states its candidate and the pop-validate loop is sound — see
-//! `vg_core::greedy`). The loser tree stores *positions only* and reads
-//! scores live from the caller's dense row, so it must never be stale: the
-//! caller re-score protocol — `Selector::rescore_winner` after each
-//! placement, `Selector::refresh` after each wholesale re-price — is a
-//! hard contract, debug-asserted where cheap.
+//! The trees cache each leaf's key from the caller's dense score row, so
+//! they must never be stale: the caller re-score protocol —
+//! `Selector::rescore_winner` after each placement, `Selector::refresh`
+//! after each wholesale re-price — is a hard contract, debug-asserted
+//! where cheap.
 //!
 //! ## Storage
 //!
-//! Selector storage ([`LoserTree`], the heap's entry vector) lives in the
+//! Selector storage ([`LoserTree`], [`ShardedTree`]) lives in the
 //! owning scheduler's persistent scratch and is moved in and out of the
 //! round-scoped `Selector` by value, so steady-state rounds allocate
 //! nothing once the backing vectors reach their high-water capacity (the
@@ -68,8 +63,6 @@
 pub enum SelectorKind {
     /// Dense strict-`<` rescan of the whole score row per placement.
     Linear,
-    /// Stale-tolerant lazy 4-ary min-heap with pop-validate repair.
-    LazyHeap,
     /// Loser (tournament) tree with replace-top path replay.
     LoserTree,
     /// Per-shard loser trees with a small tournament over shard winners;
@@ -79,8 +72,7 @@ pub enum SelectorKind {
 
 /// Below this `count · u` product the dense linear rescan wins: it
 /// vectorizes, the structured selectors' builds do not. Measured on the
-/// slotloop and selector benches; flat between 2¹¹ and 2¹³ (unchanged
-/// since the lazy heap landed).
+/// slotloop and selector benches; flat between 2¹¹ and 2¹³.
 pub const LINEAR_MAX_WORK: usize = 4096;
 
 /// Rounds shorter than this stay linear regardless of `u`: the `O(u)`
@@ -131,13 +123,10 @@ impl SelectorKind {
     /// * `u ≥ 8192` ([`SHARD_MIN_UPS`]) — **sharded tree**: one replay
     ///   touches a single shard's cache-resident path plus a ≤ 64-key
     ///   winner tournament instead of `⌈log₂ u⌉` scattered lines.
-    /// * otherwise — **loser tree**. On the selector micro-benchmark
-    ///   (`BENCH_selector.json`) it beats the lazy heap on every cell at
-    ///   and above the linear crossover — the heap's extra cost is the
-    ///   child-group minimum at each sift level plus pop-validate traffic,
-    ///   neither of which the path replay pays — so the former heap band
-    ///   is empty and the heap remains reachable only through
-    ///   `force_selector` (kept as a differential witness and fallback).
+    /// * otherwise — **loser tree**: its path replay reads one stored
+    ///   loser per level, where a `d`-ary heap's sift takes a `d`-child
+    ///   minimum per level (measured on the selector micro-benchmark,
+    ///   `BENCH_selector.json`).
     #[must_use]
     pub fn choose(u: usize, count: usize) -> Self {
         if count < STRUCTURED_MIN_COUNT || count * u < LINEAR_MAX_WORK {
@@ -146,60 +135,6 @@ impl SelectorKind {
             Self::ShardedTree
         } else {
             Self::LoserTree
-        }
-    }
-}
-
-/// Key order shared by every selector: score via `total_cmp`, then
-/// position — the unique total order that reproduces the linear scan's
-/// lowest-id tie-break (for the non-NaN scores produced by validated
-/// chains, `total_cmp` agrees with `<`).
-#[inline]
-pub(crate) fn key_less(a: (f64, u32), b: (f64, u32)) -> bool {
-    match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.1 < b.1,
-    }
-}
-
-/// Heap arity of the lazy-heap selector. The workload is sift-down-heavy —
-/// every placement re-scores the popped winner — so a wide heap beats a
-/// binary one: with `d = 4` a sift touches `log₄ u` contiguous 64-byte
-/// child groups instead of `log₂ u` scattered cache lines. (The loser tree
-/// beats both; see the module docs.) Which valid heap shape stores the
-/// entries is unobservable: `key_less` is a total order, its minimum is
-/// unique, so pops yield the same sequence at any arity.
-const HEAP_ARITY: usize = 4;
-
-/// Restores the min-heap property downward from slot `i`.
-fn sift_down(heap: &mut [(f64, u32)], mut i: usize) {
-    loop {
-        let first = HEAP_ARITY * i + 1;
-        if first >= heap.len() {
-            break;
-        }
-        let last = (first + HEAP_ARITY).min(heap.len());
-        let mut child = first;
-        for c in first + 1..last {
-            if key_less(heap[c], heap[child]) {
-                child = c;
-            }
-        }
-        if key_less(heap[child], heap[i]) {
-            heap.swap(child, i);
-            i = child;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Floyd heap construction, `O(n)`.
-fn heapify(heap: &mut [(f64, u32)]) {
-    if heap.len() > 1 {
-        for i in (0..=(heap.len() - 2) / HEAP_ARITY).rev() {
-            sift_down(heap, i);
         }
     }
 }
@@ -500,9 +435,6 @@ impl ShardedTree {
 pub(crate) enum Selector {
     /// Dense strict-`<` rescan of the whole score row per placement.
     Linear,
-    /// Lazy min-heap of `(score, pos)` entries, one per UP candidate; owns
-    /// the scheduler's persistent backing storage for the round.
-    Heap(Vec<(f64, u32)>),
     /// Loser tree over candidate positions; owns the scheduler's
     /// persistent tree storage for the round.
     Loser(LoserTree),
@@ -518,19 +450,11 @@ impl Selector {
     pub(crate) fn build(
         kind: SelectorKind,
         scores: &[f64],
-        heap_storage: &mut Vec<(f64, u32)>,
         tree_storage: &mut LoserTree,
         sharded_storage: &mut ShardedTree,
     ) -> Self {
         match kind {
             SelectorKind::Linear => Self::Linear,
-            SelectorKind::LazyHeap => {
-                let mut heap = std::mem::take(heap_storage);
-                heap.clear();
-                heap.extend(scores.iter().enumerate().map(|(pos, &s)| (s, pos as u32)));
-                heapify(&mut heap);
-                Self::Heap(heap)
-            }
             SelectorKind::LoserTree => {
                 let mut tree = std::mem::take(tree_storage);
                 tree.rebuild(scores);
@@ -547,38 +471,20 @@ impl Selector {
     /// Returns the backing storage to the scheduler's persistent scratch.
     pub(crate) fn into_storage(
         self,
-        heap_storage: &mut Vec<(f64, u32)>,
         tree_storage: &mut LoserTree,
         sharded_storage: &mut ShardedTree,
     ) {
         match self {
             Self::Linear => {}
-            Self::Heap(heap) => *heap_storage = heap,
             Self::Loser(tree) => *tree_storage = tree,
             Self::Sharded(tree) => *sharded_storage = tree,
         }
     }
 
-    /// Position (into the candidate row) of the current argmin. The heap
-    /// variant leaves the winner's entry at the top, where
-    /// [`Self::rescore_winner`] expects it; the loser tree's winner is
-    /// already at the root.
-    pub(crate) fn select(&mut self, scores: &[f64]) -> usize {
+    /// Position (into the candidate row) of the current argmin; the trees'
+    /// winner is already at the root.
+    pub(crate) fn select(&self, scores: &[f64]) -> usize {
         match self {
-            // Pop-validate: a stale top (its score was raised by an
-            // Equation-(2) refresh after the entry was pushed) under-states
-            // its candidate — scores are monotone non-decreasing within a
-            // round — so refresh it in place and retry. A top that matches
-            // the score cache bit-for-bit is the exact argmin.
-            Self::Heap(heap) => loop {
-                let (s, pos) = heap[0];
-                let current = scores[pos as usize];
-                if s.to_bits() == current.to_bits() {
-                    break pos as usize;
-                }
-                heap[0].0 = current;
-                sift_down(heap, 0);
-            },
             Self::Loser(tree) => tree.winner(),
             Self::Sharded(tree) => tree.winner(),
             Self::Linear => {
@@ -598,19 +504,10 @@ impl Selector {
     }
 
     /// Records that the winner at `pos` was re-scored (the caller already
-    /// wrote `scores[pos]`). The heap updates its top entry in place and
-    /// sifts — it keeps exactly one entry per candidate; the loser tree
-    /// replays the winner's path; the linear variant is stateless.
+    /// wrote `scores[pos]`): the trees replay the winner's path; the linear
+    /// variant is stateless.
     pub(crate) fn rescore_winner(&mut self, pos: usize, scores: &[f64]) {
         match self {
-            Self::Heap(heap) => {
-                debug_assert_eq!(
-                    heap[0].1 as usize, pos,
-                    "the winner's entry must be the top"
-                );
-                heap[0].0 = scores[pos];
-                sift_down(heap, 0);
-            }
             Self::Loser(tree) => tree.replay_winner(pos, scores),
             Self::Sharded(tree) => tree.replay_winner(pos, scores),
             Self::Linear => {}
@@ -619,18 +516,11 @@ impl Selector {
 
     /// Round-batched wholesale refresh after every score changed at once
     /// (an Equation-(2) ceiling step): the caller has re-evaluated the
-    /// whole row in one dense pass; the structured selectors then rebuild
-    /// bottom-up in `O(u)` — touching each entry exactly once — instead of
-    /// paying one lazy repair per stale entry as it surfaces. The minimum
-    /// is the same either way, so decisions are untouched. The linear
-    /// variant is stateless.
+    /// whole row in one dense pass; the trees then rebuild bottom-up in
+    /// `O(u)`, touching each entry exactly once. The linear variant is
+    /// stateless.
     pub(crate) fn refresh(&mut self, scores: &[f64]) {
         match self {
-            Self::Heap(heap) => {
-                heap.clear();
-                heap.extend(scores.iter().enumerate().map(|(pos, &s)| (s, pos as u32)));
-                heapify(heap);
-            }
             Self::Loser(tree) => tree.rebuild(scores),
             Self::Sharded(tree) => {
                 let shard_size = tree.shard_size;
@@ -645,20 +535,26 @@ impl Selector {
 mod tests {
     use super::*;
 
+    /// Key order shared by every selector: score via `total_cmp`, then
+    /// position — the unique total order that reproduces the linear scan's
+    /// lowest-id tie-break (for the non-NaN scores produced by validated
+    /// chains, `total_cmp` agrees with `<`). The specification
+    /// `packed_key` must reproduce.
+    fn key_less(a: (f64, u32), b: (f64, u32)) -> bool {
+        match a.0.total_cmp(&b.0) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Greater => false,
+            std::cmp::Ordering::Equal => a.1 < b.1,
+        }
+    }
+
     /// Drives one selector through a scripted round and returns the winner
     /// sequence; `bumps` gives the score the winner is re-scored to after
     /// each placement.
     fn run_round(kind: SelectorKind, scores: &mut [f64], bumps: &[f64]) -> Vec<usize> {
-        let mut heap_storage = Vec::new();
         let mut tree_storage = LoserTree::default();
         let mut sharded_storage = ShardedTree::default();
-        let mut sel = Selector::build(
-            kind,
-            scores,
-            &mut heap_storage,
-            &mut tree_storage,
-            &mut sharded_storage,
-        );
+        let mut sel = Selector::build(kind, scores, &mut tree_storage, &mut sharded_storage);
         let mut picks = Vec::new();
         for &bump in bumps {
             let w = sel.select(scores);
@@ -666,7 +562,7 @@ mod tests {
             scores[w] = bump;
             sel.rescore_winner(w, scores);
         }
-        sel.into_storage(&mut heap_storage, &mut tree_storage, &mut sharded_storage);
+        sel.into_storage(&mut tree_storage, &mut sharded_storage);
         picks
     }
 
@@ -686,16 +582,14 @@ mod tests {
         picks
     }
 
-    /// All four selectors must agree with each other (and hence with the
-    /// linear reference) on every scripted round; the sharded tree is
+    /// Every selector must agree with the linear reference on every
+    /// scripted round; the sharded tree is
     /// additionally exercised at forced widths that split even tiny rows
     /// into several shards.
     fn assert_all_agree(scores: &[f64], bumps: &[f64]) {
         let linear = run_round(SelectorKind::Linear, &mut scores.to_vec(), bumps);
-        let heap = run_round(SelectorKind::LazyHeap, &mut scores.to_vec(), bumps);
         let loser = run_round(SelectorKind::LoserTree, &mut scores.to_vec(), bumps);
         let sharded = run_round(SelectorKind::ShardedTree, &mut scores.to_vec(), bumps);
-        assert_eq!(linear, heap, "heap diverged on {scores:?} / {bumps:?}");
         assert_eq!(
             linear, loser,
             "loser tree diverged on {scores:?} / {bumps:?}"
@@ -723,7 +617,7 @@ mod tests {
 
     #[test]
     fn duplicate_scores_resolve_to_lowest_position_in_internal_nodes() {
-        // The tie-break audit of the heap → loser-tree translation: the
+        // The tie-break audit of the loser tree: the
         // duplicates land in *different subtrees* of the padded
         // tournament (u = 5 pads to m = 8: leaves {0..3} and {4..7} are
         // the two top-level subtrees), so the lowest-position rule must

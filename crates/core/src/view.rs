@@ -53,11 +53,12 @@ pub struct ProcSnapshot {
 /// layer and [`crate::share::SharePolicy`]).
 ///
 /// Mirrors the [`SchedView::room`] idiom: `None` is the historical
-/// single-application contract; the engine passes `Some` only on rounds
-/// that belong to a co-scheduled application, whose trajectory is already
-/// outside the single-app bit-identity regime. Schedulers MAY use it (e.g.
-/// to spread applications across disjoint workers) and MUST ignore it
-/// without observable effect when absent.
+/// single-application contract, passed on a lone application's one-shot
+/// pool round; the engine passes `Some` on every other round (quota-bounded
+/// pool rounds and replica rounds), for lone applications too. Schedulers
+/// MAY use it (e.g. to spread applications across disjoint workers), but
+/// MUST decide exactly as with `None` when it is absent or `count == 1` —
+/// a lone application's trajectory is pinned to the historical engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppView {
     /// Index of the requesting application (0-based, in engine app order).
@@ -107,10 +108,9 @@ pub struct SchedView<'a> {
     /// requested anyway; the engine only passes `Some` on rounds whose
     /// trajectory is already allowed to diverge.
     pub room: Option<&'a [u8]>,
-    /// Which co-scheduled application this placement round serves, or
+    /// Which application of the roster this placement round serves, or
     /// `None` for the historical single-application contract (see
-    /// [`AppView`]). Advisory, like `room`: only rounds already allowed to
-    /// diverge from the single-app trajectory carry `Some`.
+    /// [`AppView`]). Advisory, like `room`.
     pub app: Option<AppView>,
 }
 

@@ -44,7 +44,7 @@
 //!   builds never divide by zero, so dfb is always finite and the summary
 //!   sort cannot panic.
 
-use vg_core::HeuristicKind;
+use vg_core::{HeuristicKind, SharePolicy};
 use vg_des::par::{par_map, par_map_init_consume, ParallelismConfig};
 use vg_des::rng::SeedPath;
 use vg_des::stats::OnlineStats;
@@ -53,7 +53,7 @@ use vg_markov::availability::ChainStats;
 use vg_platform::source::{AvailabilitySource, SharedTraceMatrix};
 use vg_platform::volatility::ScriptedOverlay;
 use vg_platform::CompiledScript;
-use vg_sim::{platform_chain_stats, SimArena, SimOptions, Simulation, WorkerSoA};
+use vg_sim::{platform_chain_stats, AppSpec, SimArena, SimOptions, Simulation, WorkerSoA};
 
 use crate::scenario::{make_scenario, Scenario, ScenarioParams};
 
@@ -517,9 +517,10 @@ fn run_fresh_one(
     sim: SimOptions,
 ) -> Result<vg_sim::SimReport, vg_platform::ConfigError> {
     let mut engine = match model {
-        Some(model) => Simulation::<WorkerSoA>::new_rows_in(
+        Some(model) => Simulation::<WorkerSoA>::new_multi_rows_in(
             &scenario.platform,
-            &scenario.app,
+            &[AppSpec::rigid(scenario.app)],
+            SharePolicy::default(),
             kind.build(sched_seed.rng()),
             Box::new(model.build(&scenario.platform, trace_path)?),
             sim,

@@ -134,7 +134,7 @@ pub struct AppSpec {
     /// pipeline state is application-agnostic).
     pub config: AppConfig,
     /// Share weight under [`vg_core::share::SharePolicy::Weighted`]
-    /// (ignored — except as zero/non-zero — by the other policies).
+    /// (ignored by the other policies). Must be at least 1.
     pub weight: u32,
     /// Barrier reconfiguration policy.
     pub reconfig: ReconfigPolicy,
@@ -172,6 +172,13 @@ impl AppSpec {
     }
 }
 
+/// How many barriers an application of `iterations` iterations can reach
+/// in a run capped at `max_slots`: every iteration takes at least one slot,
+/// so the cap bounds the completion log even for absurd iteration counts.
+pub(crate) fn barrier_capacity(iterations: u64, max_slots: Slot) -> usize {
+    usize::try_from(iterations.min(max_slots)).unwrap_or(usize::MAX)
+}
+
 /// Live state of one application inside the engine: its configuration, its
 /// current [`IterationState`] (local task ids), its progress counters and
 /// its task-id namespace base.
@@ -200,7 +207,7 @@ pub struct AppRuntime {
 impl AppRuntime {
     /// Fresh runtime for application `index` of a run.
     #[must_use]
-    pub(crate) fn new(index: usize, spec: &AppSpec, max_extra: u8) -> Self {
+    pub(crate) fn new(index: usize, spec: &AppSpec, max_extra: u8, max_slots: Slot) -> Self {
         debug_assert!(index < MAX_APPS);
         Self {
             config: spec.config,
@@ -209,10 +216,13 @@ impl AppRuntime {
             task_base: (index as u32) << APP_TASK_SHIFT,
             iter: IterationState::new(0, spec.config.tasks_per_iteration, max_extra),
             iterations_done: 0,
-            // Preallocated for every requested barrier so the per-app
-            // completion log never grows inside the steady-state slot loop
-            // (mirrors the engine's combined `iteration_completed_at`).
-            iteration_completed_at: Vec::with_capacity(spec.config.iterations as usize),
+            // Preallocated for every barrier the run can reach so the
+            // per-app completion log never grows inside the steady-state
+            // slot loop (mirrors the engine's combined log).
+            iteration_completed_at: Vec::with_capacity(barrier_capacity(
+                spec.config.iterations,
+                max_slots,
+            )),
             completed_at: None,
             tasks_completed: 0,
         }
@@ -220,7 +230,7 @@ impl AppRuntime {
 
     /// Reinitializes a warmed runtime in place for a new run (the arena
     /// counterpart of [`Self::new`], reusing the allocated buffers).
-    pub(crate) fn reinit(&mut self, index: usize, spec: &AppSpec, max_extra: u8) {
+    pub(crate) fn reinit(&mut self, index: usize, spec: &AppSpec, max_extra: u8, max_slots: Slot) {
         debug_assert!(index < MAX_APPS);
         self.config = spec.config;
         self.weight = spec.weight;
@@ -231,7 +241,7 @@ impl AppRuntime {
         self.iterations_done = 0;
         self.iteration_completed_at.clear();
         self.iteration_completed_at
-            .reserve(spec.config.iterations as usize);
+            .reserve(barrier_capacity(spec.config.iterations, max_slots));
         self.completed_at = None;
         self.tasks_completed = 0;
     }
@@ -363,7 +373,7 @@ mod tests {
     #[test]
     fn fixed_barrier_is_a_reset() {
         let spec = AppSpec::rigid(app(4, 3));
-        let mut rt = AppRuntime::new(0, &spec, 2);
+        let mut rt = AppRuntime::new(0, &spec, 2, 100);
         for t in 0..4 {
             rt.iter.mark_completed(TaskId(t));
         }
@@ -377,7 +387,7 @@ mod tests {
     #[test]
     fn moldable_barrier_resizes_with_up_count() {
         let spec = AppSpec::moldable(app(4, 3), MoldableParams::default());
-        let mut rt = AppRuntime::new(1, &spec, 2);
+        let mut rt = AppRuntime::new(1, &spec, 2, 100);
         assert_eq!(rt.task_base, 1 << APP_TASK_SHIFT);
         for t in 0..4 {
             rt.iter.mark_completed(TaskId(t));
@@ -398,12 +408,12 @@ mod tests {
     #[test]
     fn reinit_matches_fresh_runtime() {
         let spec = AppSpec::weighted(app(3, 2), 5);
-        let mut rt = AppRuntime::new(2, &spec, 1);
+        let mut rt = AppRuntime::new(2, &spec, 1, 100);
         rt.iter.mark_completed(TaskId(0));
         rt.tasks_completed = 1;
         rt.iteration_completed_at.push(10);
         let other = AppSpec::moldable(app(6, 4), MoldableParams::default());
-        rt.reinit(0, &other, 2);
-        assert_eq!(rt, AppRuntime::new(0, &other, 2));
+        rt.reinit(0, &other, 2, 100);
+        assert_eq!(rt, AppRuntime::new(0, &other, 2, 100));
     }
 }

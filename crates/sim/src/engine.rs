@@ -106,8 +106,8 @@ use vg_platform::volatility::ScriptedOverlay;
 use vg_platform::{AppConfig, ConfigError, PlatformConfig, ProcessorId};
 
 use crate::app::{
-    app_of, global_task, iter_for, local_task, AppRuntime, AppSpec, ReconfigPolicy, MAX_APPS,
-    MAX_APP_TASKS,
+    app_of, barrier_capacity, global_task, iter_for, local_task, AppRuntime, AppSpec,
+    ReconfigPolicy, MAX_APPS, MAX_APP_TASKS,
 };
 use crate::report::{AppReport, Counters, MultiReport, SimReport};
 use crate::store::{AosWorkers, WorkerSoA, WorkerStore, SUMMARY_BLOCK};
@@ -182,14 +182,7 @@ pub mod phase_profile {
     ];
 
     /// Cumulative nanoseconds per fused phase.
-    pub static NANOS: [AtomicU64; 6] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
+    pub static NANOS: [AtomicU64; 6] = [const { AtomicU64::new(0) }; 6];
 
     /// Display names of the schedule sub-phases, index-aligned with
     /// [`SUB`] and listed in slot execution order.
@@ -215,16 +208,7 @@ pub mod phase_profile {
     /// `*_place` entries) from bind bookkeeping, and — since the
     /// free-scan/mask/cands split — the one that shows what the replica
     /// phase's candidates-first early-out actually skips.
-    pub static SUB: [AtomicU64; 8] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
+    pub static SUB: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
 
     /// Zeroes every accumulator.
     pub fn reset() {
@@ -247,6 +231,28 @@ pub mod phase_profile {
     pub fn sub_snapshot() -> [u64; 8] {
         std::array::from_fn(|i| SUB[i].load(Ordering::Relaxed))
     }
+}
+
+/// Times `$e` into the schedule sub-phase accumulator `$idx`
+/// ([`phase_profile::SUB`]) when the `phase-profile` feature is on.
+#[cfg(feature = "phase-profile")]
+macro_rules! sub {
+    ($idx:expr, $e:expr) => {{
+        // tidy:allow(wall_clock): phase-profile instrumentation, cfg-gated and never read by simulation logic.
+        let t = std::time::Instant::now();
+        let r = $e;
+        phase_profile::SUB[$idx].fetch_add(
+            t.elapsed().as_nanos() as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        r
+    }};
+}
+#[cfg(not(feature = "phase-profile"))]
+macro_rules! sub {
+    ($idx:expr, $e:expr) => {
+        $e
+    };
 }
 
 /// Snapshot `delay` written for processors that are not `UP`.
@@ -511,8 +517,9 @@ pub struct MultiOutcome {
 /// cost of [`Simulation::new`].
 ///
 /// Intended use: one arena per worker thread of a campaign fan-out, driven
-/// through [`SimArena::run_seeded`] for every (heuristic, trial) instance.
-/// Results are bit-identical to [`Simulation::run_seeded`] with the same
+/// through [`SimArena::run_shared_trace_overlay`] or
+/// [`SimArena::run_apps_seeded`] for every (heuristic, trial) instance.
+/// Results are bit-identical to the cold [`Simulation`] with the same
 /// inputs — the arena only recycles allocations, never state: every buffer
 /// is reset (not merely reused) before a run, and determinism tests pin the
 /// equivalence.
@@ -552,58 +559,18 @@ impl SimArena {
         Self::default()
     }
 
-    /// Runs one simulation, reusing this arena's buffers. Seeds and
-    /// semantics are exactly [`Simulation::run_seeded`]'s: sources are built
-    /// from `trace_seeds.child(q)` per processor, so common-random-number
-    /// comparisons work unchanged.
-    ///
-    /// # Errors
-    /// Propagates configuration validation errors, and rejects
-    /// [`SimOptions::record_timeline`] (unsupported in arena mode).
-    pub fn run_seeded(
-        &mut self,
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<RunOutcome, ConfigError> {
-        platform.validate()?;
-        let specs = [AppSpec::rigid(*app)];
-        validate_app_specs(&specs)?;
-        if options.record_timeline {
-            return Err(ConfigError(
-                "SimArena does not record timelines; use Simulation::run_seeded".into(),
-            ));
-        }
-        let dense = self.prepare_sources(platform, &trace_seeds);
-        if dense {
-            let bank = SourceBank::Dense(std::mem::take(&mut self.dense));
-            Ok(self.run_core_with(
-                platform,
-                &specs,
-                SharePolicy::default(),
-                scheduler,
-                bank,
-                None,
-                options,
-            ))
-        } else {
-            Ok(self.run_core(platform, &specs, SharePolicy::default(), scheduler, options))
-        }
-    }
-
-    /// Runs several co-scheduled applications over one platform, reusing
-    /// this arena's buffers; the multi-application twin of
-    /// [`Self::run_seeded`]. Seeds, sources and the slot loop are shared by
-    /// all applications — they compete for the same volatile workers under
-    /// `share` — and a one-spec roster with [`AppSpec::rigid`] is
-    /// bit-identical to [`Self::run_seeded`].
+    /// Runs a roster of applications over one platform, reusing this
+    /// arena's buffers. Seeds and semantics are exactly
+    /// [`Simulation::run_multi_seeded`]'s: sources are built from
+    /// `trace_seeds.child(q)` per processor, so common-random-number
+    /// comparisons work unchanged. A single application is a one-spec
+    /// roster ([`AppSpec::rigid`]); [`MultiOutcome::combined`] is then its
+    /// outcome.
     ///
     /// # Errors
     /// Propagates validation errors (empty/oversized rosters, per-app
     /// config problems, mismatched communication parameters) and rejects
-    /// timeline recording as in [`Self::run_seeded`].
+    /// [`SimOptions::record_timeline`] (unsupported in arena mode).
     pub fn run_apps_seeded(
         &mut self,
         platform: &PlatformConfig,
@@ -615,18 +582,13 @@ impl SimArena {
     ) -> Result<MultiOutcome, ConfigError> {
         platform.validate()?;
         validate_app_specs(specs)?;
-        if options.record_timeline {
-            return Err(ConfigError(
-                "SimArena does not record timelines; use Simulation::run_multi_seeded".into(),
-            ));
-        }
-        let dense = self.prepare_sources(platform, &trace_seeds);
-        let combined = if dense {
-            let bank = SourceBank::Dense(std::mem::take(&mut self.dense));
-            self.run_core_with(platform, specs, share, scheduler, bank, None, options)
+        reject_arena_timeline(options)?;
+        let bank = if self.prepare_sources(platform, &trace_seeds) {
+            SourceBank::Dense(std::mem::take(&mut self.dense))
         } else {
-            self.run_core(platform, specs, share, scheduler, options)
+            SourceBank::PerProc(std::mem::take(&mut self.sources))
         };
+        let combined = self.run_core_with(platform, specs, share, scheduler, bank, None, options);
         let apps = self
             .apps
             .iter()
@@ -670,94 +632,25 @@ impl SimArena {
         dense
     }
 
-    /// Runs one simulation with **caller-shared per-scenario state**: chain
-    /// statistics computed once per platform (see [`platform_chain_stats`])
-    /// and availability sources supplied directly (custom generators,
-    /// replayed archive traces, …). To share one *recorded* trace across
-    /// the heuristics of an instance, use [`Self::run_shared_trace`], which
-    /// consumes a [`SharedTraceMatrix`] row-by-row instead.
+    /// Runs one application against a [`SharedTraceMatrix`] recording,
+    /// with **caller-shared per-scenario** chain statistics (computed once
+    /// per platform by [`platform_chain_stats`]; `chains` must follow
+    /// processor order). The engine consumes the recording **row by row** —
+    /// one borrow and `p` byte reads per slot — so the heuristics of an
+    /// instance replay byte-identical availability (common random numbers)
+    /// without per-processor sampling; the result is bit-identical to a
+    /// seeded run over sources with the recording's seeds.
     ///
-    /// `chains` must be the statistics of `platform`'s believed chains, in
-    /// processor order; `sources` must yield exactly one source per
-    /// processor, in order. Results are bit-identical to
-    /// [`Self::run_seeded`] with equivalently seeded sources.
-    ///
-    /// # Errors
-    /// Propagates validation errors; rejects timeline recording and
-    /// mismatched `chains`/`sources` lengths.
-    pub fn run_configured(
-        &mut self,
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        chains: &[ChainStats],
-        sources: impl IntoIterator<Item = Box<dyn AvailabilitySource>>,
-        options: SimOptions,
-    ) -> Result<RunOutcome, ConfigError> {
-        platform.validate()?;
-        let specs = [AppSpec::rigid(*app)];
-        validate_app_specs(&specs)?;
-        if options.record_timeline {
-            return Err(ConfigError(
-                "SimArena does not record timelines; use Simulation::run_seeded".into(),
-            ));
-        }
-        if chains.len() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "{} chain stats for {} processors",
-                chains.len(),
-                platform.p()
-            )));
-        }
-        self.sources.clear();
-        self.sources.extend(sources);
-        if self.sources.len() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "{} sources for {} processors",
-                self.sources.len(),
-                platform.p()
-            )));
-        }
-        self.chains.clear();
-        self.chains.extend_from_slice(chains);
-        Ok(self.run_core(platform, &specs, SharePolicy::default(), scheduler, options))
-    }
-
-    /// Runs one simulation against a [`SharedTraceMatrix`] recording, with
-    /// per-scenario `chains` as in [`Self::run_configured`]. The engine
-    /// consumes the recording **row by row** — one borrow and `p` byte reads
-    /// per slot — so replaying heuristics skip per-processor sampling
-    /// entirely. Bit-identical to [`Self::run_seeded`] over sources with the
-    /// recording's seeds.
+    /// An optional scripted fault overlay forces states onto each replayed
+    /// row *after* it is read, leaving the recording itself untouched, so
+    /// every heuristic faces the same faults on the same base. `None` (and
+    /// a passthrough script) leave every row as recorded.
     ///
     /// # Errors
-    /// Propagates validation errors; rejects timeline recording and a
-    /// matrix/chains whose width is not `platform.p()`.
-    pub fn run_shared_trace(
-        &mut self,
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        chains: &[ChainStats],
-        trace: &SharedTraceMatrix,
-        options: SimOptions,
-    ) -> Result<RunOutcome, ConfigError> {
-        self.run_shared_trace_overlay(platform, app, scheduler, chains, trace, None, options)
-    }
-
-    /// [`Self::run_shared_trace`] with a scripted fault overlay: the script
-    /// forces states onto each replayed row *after* it is read, leaving the
-    /// recording itself untouched — every heuristic of an instance still
-    /// replays byte-identical base availability (common random numbers),
-    /// with the same scripted faults layered on top. `None` (and a
-    /// passthrough script) is bit-identical to [`Self::run_shared_trace`].
-    ///
-    /// # Errors
-    /// As [`Self::run_shared_trace`], plus a script compiled for a
-    /// different platform size.
-    #[allow(clippy::too_many_arguments)] // mirrors run_shared_trace + the overlay
+    /// Propagates validation errors; rejects timeline recording, a
+    /// matrix/chains whose width is not `platform.p()`, and a script
+    /// compiled for a different platform size.
+    #[allow(clippy::too_many_arguments)] // the trace, its chains and the overlay are all per-instance
     pub fn run_shared_trace_overlay(
         &mut self,
         platform: &PlatformConfig,
@@ -771,11 +664,7 @@ impl SimArena {
         platform.validate()?;
         let specs = [AppSpec::rigid(*app)];
         validate_app_specs(&specs)?;
-        if options.record_timeline {
-            return Err(ConfigError(
-                "SimArena does not record timelines; use Simulation::run_seeded".into(),
-            ));
-        }
+        reject_arena_timeline(options)?;
         if chains.len() != platform.p() || trace.p() != platform.p() {
             // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
             return Err(ConfigError(format!(
@@ -814,23 +703,10 @@ impl SimArena {
         ))
     }
 
-    /// Shared tail of the `run_*` entry points; expects `self.sources` and
-    /// `self.chains` to be populated for `platform`.
-    fn run_core(
-        &mut self,
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        options: SimOptions,
-    ) -> RunOutcome {
-        let bank = SourceBank::PerProc(std::mem::take(&mut self.sources));
-        self.run_core_with(platform, specs, share, scheduler, bank, None, options)
-    }
-
     /// Innermost run loop over an explicit source bank (and optional
-    /// scripted overlay).
-    #[allow(clippy::too_many_arguments)] // private tail shared by every entry point
+    /// scripted overlay); expects `self.chains` to be populated for
+    /// `platform`.
+    #[allow(clippy::too_many_arguments)] // private tail shared by both entry points
     fn run_core_with(
         &mut self,
         platform: &PlatformConfig,
@@ -851,10 +727,14 @@ impl SimArena {
         self.apps.truncate(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             if i < self.apps.len() {
-                self.apps[i].reinit(i, spec, options.max_extra_replicas);
+                self.apps[i].reinit(i, spec, options.max_extra_replicas, options.max_slots);
             } else {
-                self.apps
-                    .push(AppRuntime::new(i, spec, options.max_extra_replicas));
+                self.apps.push(AppRuntime::new(
+                    i,
+                    spec,
+                    options.max_extra_replicas,
+                    options.max_slots,
+                ));
             }
         }
         self.iteration_completed_at.clear();
@@ -920,10 +800,11 @@ impl SimArena {
 }
 
 /// Validates a co-scheduled application roster: 1 to [`MAX_APPS`]
-/// applications, each individually valid, every `tasks_per_iteration`
-/// inside the per-app task-id namespace ([`MAX_APP_TASKS`]), and all
-/// communication parameters equal — `T_prog`/`T_data` describe the shared
-/// platform links, so co-scheduled applications cannot disagree on them.
+/// applications, each individually valid with a non-zero share weight,
+/// every `tasks_per_iteration` inside the per-app task-id namespace
+/// ([`MAX_APP_TASKS`]), and all communication parameters equal —
+/// `T_prog`/`T_data` describe the shared platform links, so co-scheduled
+/// applications cannot disagree on them.
 fn validate_app_specs(specs: &[AppSpec]) -> Result<(), ConfigError> {
     if specs.is_empty() {
         return Err(ConfigError("at least one application is required".into()));
@@ -938,6 +819,13 @@ fn validate_app_specs(specs: &[AppSpec]) -> Result<(), ConfigError> {
     let (t_prog, t_data) = (specs[0].config.t_prog, specs[0].config.t_data);
     for (i, spec) in specs.iter().enumerate() {
         spec.config.validate()?;
+        if spec.weight == 0 {
+            // A zero share weight would never be granted pool capacity.
+            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
+            return Err(ConfigError(format!(
+                "application {i}: share weight must be at least 1"
+            )));
+        }
         if spec.config.tasks_per_iteration > MAX_APP_TASKS {
             // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
             return Err(ConfigError(format!(
@@ -956,11 +844,22 @@ fn validate_app_specs(specs: &[AppSpec]) -> Result<(), ConfigError> {
     Ok(())
 }
 
+/// Arena runs return lean outcomes; a timeline is a run's output, not
+/// scratch, so recording one needs a [`Simulation`].
+fn reject_arena_timeline(options: SimOptions) -> Result<(), ConfigError> {
+    if options.record_timeline {
+        return Err(ConfigError(
+            "SimArena does not record timelines; use Simulation".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Chain statistics of every processor's believed chain, in processor order
 /// — compute once per platform and share across every run on it via
-/// [`SimArena::run_configured`] or [`SimArena::run_shared_trace`] (the
-/// stationary-distribution solve behind [`ChainStats::new`] is ~half the
-/// per-run setup cost otherwise).
+/// [`SimArena::run_shared_trace_overlay`] (the stationary-distribution
+/// solve behind [`ChainStats::new`] is ~half the per-run setup cost
+/// otherwise).
 #[must_use]
 pub fn platform_chain_stats(platform: &PlatformConfig) -> Vec<ChainStats> {
     platform
@@ -1016,16 +915,17 @@ struct CommParams {
 /// oracle — see `crates/sim/tests/soa_equivalence.rs`.
 ///
 /// One engine drives a *roster* of application runtimes over the shared
-/// worker store ([`crate::app::AppRuntime`]); a one-app roster is the
-/// historical single-application engine, bit for bit. Task ids in worker
-/// columns are namespaced by application ([`crate::app`]).
+/// worker store ([`crate::app::AppRuntime`]); a single application is a
+/// roster of one, run by the same phases and pinned to the historical
+/// engine by the golden-digest corpus (`tests/golden_digests.rs`). Task
+/// ids in worker columns are namespaced by application ([`crate::app`]).
 pub struct Simulation<S: WorkerStore = WorkerSoA> {
     app: CommParams,
     /// The co-scheduled application runtimes, engine app order. Never
-    /// empty; `apps.len() == 1` selects the single-application phases.
+    /// empty.
     apps: Vec<AppRuntime>,
-    /// How multi-application slots split bindable capacity between the
-    /// roster's pools (never consulted with a single application).
+    /// How a slot's bindable capacity is split between the roster's pools
+    /// (every policy grants a lone application the whole capacity).
     share: SharePolicy,
     workers: S,
     sources: SourceBank,
@@ -1061,70 +961,18 @@ pub struct Simulation<S: WorkerStore = WorkerSoA> {
 
 /// The retained AoS engine: `Simulation` over the original
 /// `Vec<WorkerRuntime>` layout, used as the bit-identity oracle for the SoA
-/// refactor. Construct with [`Simulation::new_in`] /
-/// [`Simulation::run_seeded_in`].
+/// refactor. Construct with [`Simulation::new_seeded`] /
+/// [`Simulation::new_multi_in`].
 pub type ReferenceSimulation = Simulation<AosWorkers>;
 
 impl Simulation {
-    /// Builds an engine over the default [`WorkerSoA`] layout.
+    /// Builds a single-application engine over the default [`WorkerSoA`]
+    /// layout.
     ///
     /// `sources` must contain exactly one availability source per platform
     /// processor, in processor order; the caller controls their seeds (this
     /// is what enables common-random-number comparisons).
     pub fn new(
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        sources: Vec<Box<dyn AvailabilitySource>>,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        Self::new_in(platform, app, scheduler, sources, options)
-    }
-
-    /// Builds an engine co-scheduling several applications over the default
-    /// [`WorkerSoA`] layout (see [`Simulation::new_multi_in`]).
-    pub fn new_multi(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        sources: Vec<Box<dyn AvailabilitySource>>,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        Self::new_multi_in(platform, specs, share, scheduler, sources, options)
-    }
-
-    /// Convenience: build sources straight from the platform config using a
-    /// seed path (`path.child(q)` per processor) and run.
-    pub fn run_seeded(
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<SimReport, ConfigError> {
-        Self::run_seeded_in(platform, app, scheduler, trace_seeds, options)
-    }
-
-    /// Convenience: seed, run and split per application — the
-    /// multi-application twin of [`Simulation::run_seeded`].
-    pub fn run_multi_seeded(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<MultiReport, ConfigError> {
-        Self::run_multi_seeded_in(platform, specs, share, scheduler, trace_seeds, options)
-    }
-}
-
-impl<S: WorkerStore> Simulation<S> {
-    /// Builds an engine over an explicit worker-storage layout `S`
-    /// ([`Simulation::new`] for the default SoA; `S = AosWorkers` for the
-    /// reference path).
-    pub fn new_in(
         platform: &PlatformConfig,
         app: &AppConfig,
         scheduler: Box<dyn Scheduler>,
@@ -1141,11 +989,42 @@ impl<S: WorkerStore> Simulation<S> {
         )
     }
 
-    /// Builds an engine co-scheduling several applications over an explicit
-    /// worker-storage layout `S`. The applications run concurrently on the
-    /// shared platform, splitting each slot's bindable capacity under
-    /// `share`; a one-spec roster with [`AppSpec::rigid`] is bit-identical
-    /// to [`Self::new_in`] with that config.
+    /// Convenience: build sources straight from the platform config using a
+    /// seed path (`path.child(q)` per processor) and run.
+    pub fn run_seeded(
+        platform: &PlatformConfig,
+        app: &AppConfig,
+        scheduler: Box<dyn Scheduler>,
+        trace_seeds: vg_des::rng::SeedPath,
+        options: SimOptions,
+    ) -> Result<SimReport, ConfigError> {
+        Ok(Self::new_seeded(platform, app, scheduler, trace_seeds, options)?.run())
+    }
+
+    /// Convenience: seed, run and split per application — the roster twin
+    /// of [`Simulation::run_seeded`].
+    pub fn run_multi_seeded(
+        platform: &PlatformConfig,
+        specs: &[AppSpec],
+        share: SharePolicy,
+        scheduler: Box<dyn Scheduler>,
+        trace_seeds: vg_des::rng::SeedPath,
+        options: SimOptions,
+    ) -> Result<MultiReport, ConfigError> {
+        Ok(
+            Self::new_multi_seeded(platform, specs, share, scheduler, trace_seeds, options)?
+                .run_multi(),
+        )
+    }
+}
+
+impl<S: WorkerStore> Simulation<S> {
+    /// Builds an engine co-scheduling a roster of applications over an
+    /// explicit worker-storage layout `S`, with one caller-built
+    /// availability source per processor. The applications run
+    /// concurrently on the shared platform, splitting each slot's bindable
+    /// capacity under `share`; a single application is a one-spec roster
+    /// ([`AppSpec::rigid`]).
     pub fn new_multi_in(
         platform: &PlatformConfig,
         specs: &[AppSpec],
@@ -1173,28 +1052,10 @@ impl<S: WorkerStore> Simulation<S> {
         )
     }
 
-    /// Builds an engine over a whole-row generator (e.g.
+    /// Builds a roster engine over a whole-row generator (e.g.
     /// [`vg_platform::volatility::CorrelatedSource`]): the bank draws one
     /// full state row per slot, which is how cross-worker correlation enters
     /// the engine without touching per-worker seed streams.
-    pub fn new_rows_in(
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        rows: Box<dyn RowSource>,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        Self::new_multi_rows_in(
-            platform,
-            &[AppSpec::rigid(*app)],
-            SharePolicy::default(),
-            scheduler,
-            rows,
-            options,
-        )
-    }
-
-    /// Co-scheduling twin of [`Self::new_rows_in`].
     pub fn new_multi_rows_in(
         platform: &PlatformConfig,
         specs: &[AppSpec],
@@ -1318,10 +1179,15 @@ impl<S: WorkerStore> Simulation<S> {
         let apps: Vec<AppRuntime> = specs
             .iter()
             .enumerate()
-            .map(|(i, spec)| AppRuntime::new(i, spec, options.max_extra_replicas))
+            .map(|(i, spec)| {
+                AppRuntime::new(i, spec, options.max_extra_replicas, options.max_slots)
+            })
             .collect(); // tidy:allow(hot_alloc): engine construction, before the first slot.
         let total_m: usize = specs.iter().map(|s| s.config.tasks_per_iteration).sum();
-        let total_iterations: u64 = specs.iter().map(|s| s.config.iterations).sum();
+        let barriers = specs
+            .iter()
+            .map(|s| barrier_capacity(s.config.iterations, options.max_slots))
+            .fold(0, usize::saturating_add);
         Ok(Self {
             app: CommParams {
                 t_prog: specs[0].config.t_prog,
@@ -1336,7 +1202,7 @@ impl<S: WorkerStore> Simulation<S> {
             ledger: BandwidthLedger::new(platform.ncom),
             options,
             slot: 0,
-            iteration_completed_at: Vec::with_capacity(total_iterations as usize),
+            iteration_completed_at: Vec::with_capacity(barriers),
             counters: Counters::default(),
             bind_order: Vec::with_capacity(platform.p()),
             cap_engagements: 0,
@@ -1347,45 +1213,14 @@ impl<S: WorkerStore> Simulation<S> {
         })
     }
 
-    /// Seed-path convenience over [`Self::new_in`] — the layout-generic
-    /// twin of [`Simulation::run_seeded`].
-    pub fn run_seeded_in(
-        platform: &PlatformConfig,
-        app: &AppConfig,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<SimReport, ConfigError> {
-        Ok(Self::new_seeded(platform, app, scheduler, trace_seeds, options)?.run())
-    }
-
-    /// Seed-path convenience for a co-scheduled roster — the layout-generic
-    /// twin of [`Simulation::run_multi_seeded`].
-    pub fn run_multi_seeded_in(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        trace_seeds: vg_des::rng::SeedPath,
-        options: SimOptions,
-    ) -> Result<MultiReport, ConfigError> {
-        Ok(
-            Self::new_multi_seeded(platform, specs, share, scheduler, trace_seeds, options)?
-                .run_multi(),
-        )
-    }
-
     /// Runs to completion (all iterations done or slot cap hit).
     #[must_use]
-    pub fn run(mut self) -> SimReport {
-        while !self.is_done() {
-            self.step();
-        }
-        self.into_report()
+    pub fn run(self) -> SimReport {
+        self.run_multi().combined
     }
 
     /// Runs to completion and splits the result per application. The
-    /// combined report equals [`Self::run`]'s; the per-app reports add each
+    /// combined report is [`Self::run`]'s; the per-app reports add each
     /// application's own barrier history and final size.
     #[must_use]
     pub fn run_multi(mut self) -> MultiReport {
@@ -1421,24 +1256,7 @@ impl<S: WorkerStore> Simulation<S> {
     /// Finishes a (possibly partial) run into its report.
     #[must_use]
     pub fn into_report(self) -> SimReport {
-        let makespan = if self.apps.iter().all(AppRuntime::finished) {
-            // The last iteration finished during slot `slot − 1`... the loop
-            // increments `slot` at the end of each step, so `slot` is exactly
-            // the number of slots consumed.
-            Some(self.slot)
-        } else {
-            None
-        };
-        SimReport {
-            scheduler: self.scheduler.name().to_string(),
-            completed_iterations: self.apps.iter().map(|a| a.iterations_done()).sum(),
-            makespan,
-            slots_run: self.slot,
-            iteration_completed_at: self.iteration_completed_at,
-            counters: self.counters,
-            mean_bandwidth_utilization: self.ledger.mean_utilization(),
-            timeline: self.timeline,
-        }
+        self.into_parts().0
     }
 
     /// Finishes a (possibly partial) run into the combined report plus one
@@ -1446,23 +1264,8 @@ impl<S: WorkerStore> Simulation<S> {
     /// part is exactly what [`Self::into_report`] would have produced.
     #[must_use]
     pub fn into_multi_report(self) -> MultiReport {
-        let makespan = self
-            .apps
-            .iter()
-            .all(AppRuntime::finished)
-            .then_some(self.slot);
-        let combined = SimReport {
-            scheduler: self.scheduler.name().to_string(),
-            completed_iterations: self.apps.iter().map(|a| a.iterations_done()).sum(),
-            makespan,
-            slots_run: self.slot,
-            iteration_completed_at: self.iteration_completed_at,
-            counters: self.counters,
-            mean_bandwidth_utilization: self.ledger.mean_utilization(),
-            timeline: self.timeline,
-        };
-        let apps = self
-            .apps
+        let (combined, apps) = self.into_parts();
+        let apps = apps
             .into_iter()
             .map(|rt| AppReport {
                 completed_iterations: rt.iterations_done,
@@ -1476,6 +1279,29 @@ impl<S: WorkerStore> Simulation<S> {
             })
             .collect(); // tidy:allow(hot_alloc): per-run report assembly, after the slot loop.
         MultiReport { combined, apps }
+    }
+
+    /// The combined report, plus the application runtimes it was drawn from.
+    fn into_parts(self) -> (SimReport, Vec<AppRuntime>) {
+        // The loop increments `slot` at the end of each step, so when every
+        // application finished, `slot` is exactly the number of slots
+        // consumed.
+        let makespan = self
+            .apps
+            .iter()
+            .all(AppRuntime::finished)
+            .then_some(self.slot);
+        let report = SimReport {
+            scheduler: self.scheduler.name().to_string(),
+            completed_iterations: self.apps.iter().map(|a| a.iterations_done()).sum(),
+            makespan,
+            slots_run: self.slot,
+            iteration_completed_at: self.iteration_completed_at,
+            counters: self.counters,
+            mean_bandwidth_utilization: self.ledger.mean_utilization(),
+            timeline: self.timeline,
+        };
+        (report, self.apps)
     }
 
     /// One slot through all seven phases. Public so benches and the
@@ -1748,97 +1574,66 @@ impl<S: WorkerStore> Simulation<S> {
         true
     }
 
+    /// Phase 3, the master's slot rule (Section 6.1): every application's
+    /// unstarted originals first, then replicas onto idle `UP` workers. A
+    /// single application is simply a roster of one — the same body runs
+    /// for every roster size, and the golden-digest corpus
+    /// (`tests/golden_digests.rs`) pins its one-app reports to history.
     fn phase_schedule(&mut self) {
-        if self.apps.len() == 1 {
-            self.phase_schedule_single();
-        } else {
-            self.phase_schedule_multi();
+        self.bind_order.clear();
+        let have_snapshot = self.schedule_pools();
+        if self.options.replication {
+            self.schedule_replicas(have_snapshot);
         }
     }
 
-    /// The historical single-application schedule phase, textually intact
-    /// (modulo `apps[0]` standing in for the old `iter` field) so the
-    /// single-app bit-identity pin stays trustworthy. App 0's task ids are
-    /// its local ids (base 0), so no namespace mapping appears here.
-    fn phase_schedule_single(&mut self) {
-        #[cfg(feature = "phase-profile")]
-        macro_rules! sub {
-            ($idx:expr, $e:expr) => {{
-                // tidy:allow(wall_clock): phase-profile instrumentation, cfg-gated and never read by simulation logic.
-                let t = std::time::Instant::now();
-                let r = $e;
-                phase_profile::SUB[$idx].fetch_add(
-                    t.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                r
-            }};
-        }
-        #[cfg(not(feature = "phase-profile"))]
-        macro_rules! sub {
-            ($idx:expr, $e:expr) => {
-                $e
-            };
-        }
-        self.bind_order.clear();
-        // Snapshots are only consulted by `place_into`; most steady-state
-        // slots have an empty pool AND nothing to replicate, so they are
-        // built lazily. Values are identical either way: nothing between
-        // the phase start and the first use mutates worker state.
-        let mut have_snapshot = false;
+    /// The slot's bindable capacity (workers `UP` with bind room).
+    fn bindable_count(&self) -> usize {
+        let cap = self.workers.bindable_count();
+        // The dense-column count must agree with a from-scratch accessor
+        // rescan, or an occupancy mutator drifted.
+        debug_assert_eq!(
+            cap,
+            (0..self.workers.len())
+                .filter(|&q| self.workers.state(q) == ProcState::Up && self.workers.has_bind_room(q))
+                .count(),
+            "bindable_count diverged from a naive accessor rescan"
+        );
+        cap
+    }
 
-        // Originals first (strict priority, Section 6.1).
-        self.apps[0].iter.pool_tasks_into(&mut self.scratch.pool);
-        if !self.scratch.pool.is_empty() {
-            // Under `BindCapacity`, a pool that fits inside the slot's
-            // bindable capacity takes the exact uncapped code path below —
-            // that branch equality is what makes never-engaging capped runs
-            // bit-identical to uncapped ones.
+    /// Places every application's pool (unstarted originals) under the
+    /// [`SharePolicy`] quotas of the slot's bindable capacity. Returns
+    /// whether the scheduler snapshot was consulted.
+    ///
+    /// One condition depends on the roster size: a lone application whose
+    /// pool fits the slot's capacity (`usize::MAX` under
+    /// [`PlacementBudget::Uncapped`], the bindable count under
+    /// [`PlacementBudget::BindCapacity`]) is placed in one shot with an
+    /// unconstrained view — that branch equality is what makes
+    /// never-engaging capped runs bit-identical to uncapped ones. Otherwise
+    /// (a capped lone app whose pool exceeds the capacity — counted in
+    /// `cap_engagements` — or any co-scheduled roster) every application
+    /// runs bounded top-up rounds over a snapshot masked down to the
+    /// workers with bind room, so no application overruns its quota or the
+    /// platform's capacity.
+    fn schedule_pools(&mut self) -> bool {
+        let capacity = if self.apps.len() == 1 {
+            let demand = self.apps[0].iter.pool_len();
+            if demand == 0 {
+                return false;
+            }
             let capacity = match self.options.placement_budget {
                 PlacementBudget::Uncapped => usize::MAX,
-                PlacementBudget::BindCapacity => {
-                    let cap = self.workers.bindable_count();
-                    // Engagement detector: the dense-column count must agree
-                    // with a from-scratch accessor rescan, or an occupancy
-                    // mutator drifted.
-                    debug_assert_eq!(
-                        cap,
-                        (0..self.workers.len())
-                            .filter(|&q| {
-                                self.workers.state(q) == ProcState::Up
-                                    && self.workers.has_bind_room(q)
-                            })
-                            .count(),
-                        "bindable_count diverged from a naive accessor rescan"
-                    );
-                    cap
-                }
+                PlacementBudget::BindCapacity => self.bindable_count(),
             };
-            if self.scratch.pool.len() <= capacity {
+            if demand <= capacity {
+                // App 0's task ids are its local ids (base 0), so the pool
+                // needs no namespace mapping.
+                self.apps[0].iter.pool_tasks_into(&mut self.scratch.pool);
                 sub!(0, self.snapshot_procs());
-                have_snapshot = true;
                 let count = self.scratch.pool.len();
-                sub!(1, {
-                    let Self {
-                        scratch,
-                        scheduler,
-                        chains,
-                        app,
-                        ledger,
-                        ..
-                    } = self;
-                    let view = SchedView {
-                        procs: &scratch.procs,
-                        chains,
-                        t_prog: app.t_prog,
-                        t_data: app.t_data,
-                        ncom: ledger.ncom(),
-                        room: None,
-                        app: None,
-                    };
-                    scratch.placements.clear();
-                    scheduler.place_into(&view, count, &mut scratch.placements);
-                });
+                sub!(1, self.place_round(count, false, None));
                 sub!(2, {
                     let placed = self.scratch.placements.len().min(count);
                     for k in 0..placed {
@@ -1851,366 +1646,136 @@ impl<S: WorkerStore> Simulation<S> {
                         let _ = self.try_bind(pid.idx(), CopyId::original(task));
                     }
                 });
-            } else {
-                // The cap engages: the pool exceeds what the platform can
-                // bind this slot, so the request is clipped to `capacity`
-                // and topped up below. The placement trajectory may now
-                // differ from `Uncapped` — `cap_engagements` records that
-                // this run left the bit-identical regime (the
-                // `cap_fidelity` study measures the statistical effect).
-                self.cap_engagements += 1;
-                if capacity > 0 {
-                    sub!(0, self.snapshot_procs());
-                    have_snapshot = true;
-                    // Mask the snapshot down to the bindable workers (the
-                    // same in-place idiom as the replica path): a worker
-                    // without bind room could only soak up placements that
-                    // `try_bind` must reject, and — more importantly —
-                    // every masked worker drops out of `place_into`'s
-                    // per-candidate row fill, so the placement round costs
-                    // O(capacity), not O(p). States are rewritten from the
-                    // store at the next snapshot consult, so no restore
-                    // pass is needed.
-                    sub!(5, {
-                        let Self {
-                            workers, scratch, ..
-                        } = self;
-                        workers.room_into(&mut scratch.room);
-                        debug_assert!(scratch.room.iter().enumerate().all(|(q, &r)| {
-                            (r > 0)
-                                == (workers.state(q) == ProcState::Up && workers.has_bind_room(q))
-                        }));
-                        for (pr, &room) in scratch.procs.iter_mut().zip(scratch.room.iter()) {
-                            if room == 0 {
-                                pr.state = ProcState::Reclaimed;
-                            }
-                        }
-                    });
-                    self.scratch.pending.clear();
-                    self.scratch.pending.extend_from_slice(&self.scratch.pool);
-                    // Top-up loop: `try_bind` can reject a placed worker
-                    // (it filled up from an earlier bind this slot, or
-                    // already holds a copy of the task), so one round can
-                    // under-fill the capacity. Re-request placements for
-                    // the still-pending tasks until the capacity is spent,
-                    // the pending list drains, or a round binds nothing —
-                    // every continuing round binds at least one copy, so
-                    // the loop runs at most `capacity + 1` rounds. The
-                    // snapshot is *not* refreshed between rounds: bound
-                    // copies are invisible to `Delay(q)` (\[D8\]), and a
-                    // worker that filled up anyway is rejected by
-                    // `try_bind` and retried.
-                    let mut remaining = capacity;
-                    loop {
-                        let want = self.scratch.pending.len().min(remaining);
-                        if want == 0 {
-                            break;
-                        }
-                        let placed = sub!(1, {
-                            let Self {
-                                scratch,
-                                scheduler,
-                                chains,
-                                app,
-                                ledger,
-                                ..
-                            } = self;
-                            let view = SchedView {
-                                procs: &scratch.procs,
-                                chains,
-                                t_prog: app.t_prog,
-                                t_data: app.t_data,
-                                ncom: ledger.ncom(),
-                                // Advisory bind-room column: lets the
-                                // scheduler retire a worker once its room is
-                                // spent instead of stacking placements that
-                                // `try_bind` must bounce back into the
-                                // top-up loop. Only this engaged branch —
-                                // already outside the bit-identical regime —
-                                // passes `Some`.
-                                room: Some(&scratch.room),
-                                app: None,
-                            };
-                            scratch.placements.clear();
-                            scheduler.place_into(&view, want, &mut scratch.placements);
-                            scratch.placements.len().min(want)
-                        });
-                        if placed == 0 {
-                            break;
-                        }
-                        let bound = sub!(2, {
-                            let mut bound = 0usize;
-                            let mut write = 0usize;
-                            for k in 0..self.scratch.pending.len() {
-                                let task = self.scratch.pending[k];
-                                if k < placed {
-                                    let pid = self.scratch.placements[k];
-                                    debug_assert!(
-                                        self.workers.state(pid.idx()) == ProcState::Up,
-                                        "scheduler placed a task on a non-UP processor"
-                                    );
-                                    if self.try_bind(pid.idx(), CopyId::original(task)) {
-                                        bound += 1;
-                                        debug_assert!(self.scratch.room[pid.idx()] > 0);
-                                        self.scratch.room[pid.idx()] -= 1;
-                                        continue;
-                                    }
-                                }
-                                self.scratch.pending[write] = task;
-                                write += 1;
-                            }
-                            self.scratch.pending.truncate(write);
-                            bound
-                        });
-                        if bound == 0 {
-                            // Nothing placed survived `try_bind` and the
-                            // view is unchanged: a deterministic scheduler
-                            // would repeat itself verbatim. Stop rather
-                            // than spin.
-                            break;
-                        }
-                        remaining -= bound;
-                    }
-                }
+                return true;
             }
+            // The cap engages: the pool exceeds what the platform can bind
+            // this slot, so the request is clipped and topped up below. The
+            // placement trajectory may now differ from `Uncapped` —
+            // `cap_engagements` records that this run left the
+            // bit-identical regime (the `cap_fidelity` study measures the
+            // statistical effect).
+            self.cap_engagements += 1;
+            capacity
+        } else {
+            self.bindable_count()
+        };
+        if capacity == 0 {
+            return false;
         }
-
-        // Replication: idle UP workers receive replicas of the least
-        // replicated unfinished tasks (≤ max_extra_replicas each).
-        //
-        // Candidates first: near an iteration barrier every unfinished task
-        // already carries its full replica set, so the candidate list — an
-        // O(m′) scan over the few unfinished tasks — empties long before
-        // the platform runs out of idle workers. Generating it before the
-        // free-worker scan turns those slots' O(p) full-platform pass into
-        // an early-out. (`replica_candidates_into` reads only iteration
-        // state, so the reorder is unobservable when both run.) The free
-        // count doubles as the replica path's bind capacity, so this path
-        // is demand-driven under *both* placement budgets — `k` below
-        // never exceeds what can actually bind.
-        if self.options.replication && !self.apps[0].iter.is_complete() {
-            sub!(
-                3,
-                self.apps[0].iter.replica_candidates_into(
-                    self.options.max_extra_replicas,
-                    &mut self.scratch.cands,
-                )
+        {
+            let Self {
+                apps,
+                scratch,
+                share,
+                ..
+            } = self;
+            scratch.weights.clear();
+            scratch.weights.extend(
+                apps.iter()
+                    .map(|rt| if rt.finished() { 0 } else { rt.weight }),
             );
-            if !self.scratch.cands.is_empty() {
-                let n_free = sub!(4, self.refresh_free_mask());
-                let k = self.scratch.cands.len().min(n_free);
-                if k > 0 {
-                    if !have_snapshot {
-                        // The pool was empty, so nothing refreshed the
-                        // snapshot yet this slot. Incremental stores patch
-                        // the persistent buffer (cheap: only dirty
-                        // workers); the oracle layout rebuilds it. Either
-                        // way the values a scheduler can read below are
-                        // identical to the old direct masked build — a
-                        // *free* worker is completely idle, so its full
-                        // `delay_estimate` collapses to the program
-                        // remainder.
-                        sub!(0, self.snapshot_procs());
+            share_quotas(*share, capacity, &scratch.weights, &mut scratch.quotas);
+            if *share != SharePolicy::StrictPriority {
+                // Clamp each quota to its application's actual demand and
+                // hand the unusable remainder down in app order —
+                // work-conserving: capacity no pool can use is never idled
+                // by the apportionment. (Strict priority already grants
+                // full capacity as every quota, so there is no remainder to
+                // move.)
+                let mut spare = 0usize;
+                for (a, rt) in apps.iter().enumerate() {
+                    let want = rt.iter.pool_len();
+                    let granted = scratch.quotas[a].min(want);
+                    spare += scratch.quotas[a] - granted;
+                    scratch.quotas[a] = granted;
+                }
+                for (a, rt) in apps.iter().enumerate() {
+                    if spare == 0 {
+                        break;
                     }
-                    sub!(5, {
-                        let SlotScratch { procs, free, .. } = &mut self.scratch;
-                        // Restrict the heuristic's choice to the free
-                        // workers by masking everyone else as non-UP — in
-                        // place: states are rewritten from the store at the
-                        // next consult, so no restore pass is needed, and
-                        // masked workers' delays are unread (schedulers
-                        // only score UP processors).
-                        for (pr, &f) in procs.iter_mut().zip(free.iter()) {
-                            if !f {
-                                pr.state = ProcState::Reclaimed;
-                            }
-                        }
-                    });
-                    sub!(6, {
-                        let Self {
-                            scratch,
-                            scheduler,
-                            chains,
-                            app,
-                            ledger,
-                            ..
-                        } = self;
-                        let view = SchedView {
-                            procs: &scratch.procs,
-                            chains,
-                            t_prog: app.t_prog,
-                            t_data: app.t_data,
-                            ncom: ledger.ncom(),
-                            // Free workers have full room by construction;
-                            // the historical contract (`None`) keeps this
-                            // path bit-identical under both budgets.
-                            room: None,
-                            app: None,
-                        };
-                        scratch.placements.clear();
-                        scheduler.place_into(&view, k, &mut scratch.placements);
-                    });
-                    sub!(7, {
-                        let placed = self.scratch.placements.len().min(k);
-                        for j in 0..placed {
-                            let task = self.scratch.cands[j];
-                            let pid = self.scratch.placements[j];
-                            let copy = self.apps[0].iter.mint_replica(task);
-                            if !self.try_bind(pid.idx(), copy) {
-                                self.apps[0].iter.drop_replica(task);
-                            }
-                        }
-                    });
+                    let extra = (rt.iter.pool_len() - scratch.quotas[a]).min(spare);
+                    scratch.quotas[a] += extra;
+                    spare -= extra;
                 }
             }
         }
-    }
-
-    /// The multi-application schedule phase: pool placements run per
-    /// application under the [`SharePolicy`] quotas (originals keep strict
-    /// priority over replicas overall, as in Section 6.1), then replica
-    /// placements run per application over the workers still free.
-    ///
-    /// Deliberately a separate body from [`Self::phase_schedule_single`]
-    /// rather than a parameterized merge: the single-app phase is the
-    /// bit-identity-pinned historical trajectory, and keeping it textually
-    /// intact is what keeps that pin trustworthy. This path reuses the
-    /// capped-branch machinery (room column, in-place snapshot masking,
-    /// bounded top-up rounds), so no application can overrun its quota or
-    /// the platform's bind capacity, and the steady-state loop stays
-    /// allocation-free (`zero_alloc.rs` pins a two-app configuration).
-    ///
-    /// Share quotas govern **pool** (original) placements only: replicas
-    /// are demand-driven leftovers — they bind to workers that are UP and
-    /// completely idle, a resource no pool placement of any application
-    /// wanted this slot (see `docs/applications.md`).
-    fn phase_schedule_multi(&mut self) {
-        self.bind_order.clear();
-        let n_apps = self.apps.len();
         let mut have_snapshot = false;
-
-        // --- Pool placements under share quotas --------------------------
-        // The slot's bindable capacity is what the share policy divides.
-        let capacity = self.workers.bindable_count();
-        if capacity > 0 {
-            {
+        let mut remaining = capacity;
+        for a in 0..self.apps.len() {
+            if remaining == 0 {
+                break;
+            }
+            let quota = self.scratch.quotas[a].min(remaining);
+            if quota == 0 {
+                continue;
+            }
+            self.apps[a].iter.pool_tasks_into(&mut self.scratch.pool);
+            if self.scratch.pool.is_empty() {
+                continue;
+            }
+            // Worker columns and the scheduler see *global* task ids; the
+            // iteration state stays local. Map in place.
+            let base = self.apps[a].task_base;
+            for t in self.scratch.pool.iter_mut() {
+                *t = global_task(base, *t);
+            }
+            if !have_snapshot {
+                sub!(0, self.snapshot_procs());
+                have_snapshot = true;
+            }
+            // Fresh room column per app round (earlier applications' binds
+            // are already reflected), masking workers without room out of
+            // the view: they could only soak up placements that `try_bind`
+            // must reject, and every masked worker drops out of
+            // `place_into`'s per-candidate row fill, so a round costs
+            // O(capacity), not O(p). Masking is cumulative across app
+            // rounds — sound because room is monotone non-increasing
+            // within the phase — and states are rewritten from the store at
+            // the next snapshot consult, so no restore pass is needed.
+            sub!(5, {
                 let Self {
-                    apps,
-                    scratch,
-                    share,
-                    ..
+                    workers, scratch, ..
                 } = self;
-                scratch.weights.clear();
-                scratch.weights.extend(
-                    apps.iter()
-                        .map(|rt| if rt.finished() { 0 } else { rt.weight }),
-                );
-                share_quotas(*share, capacity, &scratch.weights, &mut scratch.quotas);
-                if *share != SharePolicy::StrictPriority {
-                    // Clamp each quota to its application's actual demand
-                    // and hand the unusable remainder down in app order —
-                    // work-conserving: capacity no pool can use is never
-                    // idled by the apportionment. (Strict priority already
-                    // grants full capacity as every quota, so there is no
-                    // remainder to move.)
-                    let mut spare = 0usize;
-                    for (a, rt) in apps.iter().enumerate() {
-                        let want = rt.iter.pool_len();
-                        let granted = scratch.quotas[a].min(want);
-                        spare += scratch.quotas[a] - granted;
-                        scratch.quotas[a] = granted;
-                    }
-                    for (a, rt) in apps.iter().enumerate() {
-                        if spare == 0 {
-                            break;
-                        }
-                        let extra = (rt.iter.pool_len() - scratch.quotas[a]).min(spare);
-                        scratch.quotas[a] += extra;
-                        spare -= extra;
+                workers.room_into(&mut scratch.room);
+                debug_assert!(scratch.room.iter().enumerate().all(|(q, &r)| {
+                    (r > 0) == (workers.state(q) == ProcState::Up && workers.has_bind_room(q))
+                }));
+                for (pr, &room) in scratch.procs.iter_mut().zip(scratch.room.iter()) {
+                    if room == 0 {
+                        pr.state = ProcState::Reclaimed;
                     }
                 }
-            }
-            let mut remaining = capacity;
-            for a in 0..n_apps {
-                if remaining == 0 {
+            });
+            let app_view = self.app_view(a, quota);
+            self.scratch.pending.clear();
+            self.scratch.pending.extend_from_slice(&self.scratch.pool);
+            // Top-up rounds: `try_bind` can reject a placed worker (it
+            // filled up from an earlier bind this slot, or already holds a
+            // copy of the task), so one round can under-fill the quota.
+            // Re-request placements for the still-pending tasks until the
+            // quota is spent, the pending list drains, or a round binds
+            // nothing — every continuing round binds at least one copy, so
+            // the loop runs at most `quota + 1` rounds. The snapshot is
+            // *not* refreshed between rounds: bound copies are invisible to
+            // `Delay(q)` (\[D8\]), and a worker that filled up anyway is
+            // rejected by `try_bind` and retried.
+            let mut app_remaining = quota;
+            loop {
+                let want = self.scratch.pending.len().min(app_remaining);
+                if want == 0 {
                     break;
                 }
-                let quota = self.scratch.quotas[a].min(remaining);
-                if quota == 0 {
-                    continue;
+                // The advisory room column lets the scheduler retire a
+                // worker once its room is spent instead of stacking
+                // placements that `try_bind` must bounce back here.
+                let placed = sub!(1, {
+                    self.place_round(want, true, Some(app_view));
+                    self.scratch.placements.len().min(want)
+                });
+                if placed == 0 {
+                    break;
                 }
-                self.apps[a].iter.pool_tasks_into(&mut self.scratch.pool);
-                if self.scratch.pool.is_empty() {
-                    continue;
-                }
-                // Worker columns and the scheduler see *global* task ids;
-                // the iteration state stays local. Map in place.
-                let base = self.apps[a].task_base;
-                for t in self.scratch.pool.iter_mut() {
-                    *t = global_task(base, *t);
-                }
-                if !have_snapshot {
-                    self.snapshot_procs();
-                    have_snapshot = true;
-                }
-                // Fresh room column per app round (earlier applications'
-                // binds are already reflected), masking workers without
-                // room out of the view. Masking is cumulative across app
-                // rounds — sound because room is monotone non-increasing
-                // within the phase.
-                {
-                    let Self {
-                        workers, scratch, ..
-                    } = self;
-                    workers.room_into(&mut scratch.room);
-                    for (pr, &room) in scratch.procs.iter_mut().zip(scratch.room.iter()) {
-                        if room == 0 {
-                            pr.state = ProcState::Reclaimed;
-                        }
-                    }
-                }
-                let app_view = AppView {
-                    index: a as u32,
-                    count: n_apps as u32,
-                    weight: self.apps[a].weight,
-                    quota: quota as u32,
-                };
-                self.scratch.pending.clear();
-                self.scratch.pending.extend_from_slice(&self.scratch.pool);
-                // Top-up rounds, exactly as in the capped single-app branch:
-                // every continuing round binds at least one copy, so the
-                // loop is bounded by the quota.
-                let mut app_remaining = quota;
-                loop {
-                    let want = self.scratch.pending.len().min(app_remaining);
-                    if want == 0 {
-                        break;
-                    }
-                    let placed = {
-                        let Self {
-                            scratch,
-                            scheduler,
-                            chains,
-                            app,
-                            ledger,
-                            ..
-                        } = self;
-                        let view = SchedView {
-                            procs: &scratch.procs,
-                            chains,
-                            t_prog: app.t_prog,
-                            t_data: app.t_data,
-                            ncom: ledger.ncom(),
-                            room: Some(&scratch.room),
-                            app: Some(app_view),
-                        };
-                        scratch.placements.clear();
-                        scheduler.place_into(&view, want, &mut scratch.placements);
-                        scratch.placements.len().min(want)
-                    };
-                    if placed == 0 {
-                        break;
-                    }
+                let bound = sub!(2, {
                     let mut bound = 0usize;
                     let mut write = 0usize;
                     for k in 0..self.scratch.pending.len() {
@@ -2232,98 +1797,142 @@ impl<S: WorkerStore> Simulation<S> {
                         write += 1;
                     }
                     self.scratch.pending.truncate(write);
-                    if bound == 0 {
-                        break;
-                    }
-                    app_remaining -= bound;
-                    remaining -= bound;
+                    bound
+                });
+                if bound == 0 {
+                    // Nothing placed survived `try_bind` and the view is
+                    // unchanged: a deterministic scheduler would repeat
+                    // itself verbatim. Stop rather than spin.
+                    break;
                 }
+                app_remaining -= bound;
+                remaining -= bound;
             }
         }
+        have_snapshot
+    }
 
-        // --- Replica placements, per application over free workers --------
-        if self.options.replication {
-            for a in 0..n_apps {
-                if self.apps[a].finished() || self.apps[a].iter.is_complete() {
-                    continue;
-                }
+    /// Replication: per application, idle `UP` workers receive replicas of
+    /// the least replicated unfinished tasks (≤ `max_extra_replicas` each).
+    ///
+    /// Share quotas govern pool placements only: replicas are demand-driven
+    /// leftovers that bind to completely idle workers, a resource no pool
+    /// placement of any application wanted this slot (see
+    /// `docs/applications.md`). The free count doubles as the replica
+    /// round's bind capacity, so this path is demand-driven under *both*
+    /// placement budgets.
+    ///
+    /// Candidates first: near an iteration barrier every unfinished task
+    /// already carries its full replica set, so the candidate list — an
+    /// O(m′) scan over the few unfinished tasks — empties long before the
+    /// platform runs out of idle workers. Generating it before the
+    /// free-worker scan turns those slots' O(p) pass into an early-out
+    /// (`replica_candidates_into` reads only iteration state, so the
+    /// reorder is unobservable).
+    fn schedule_replicas(&mut self, mut have_snapshot: bool) {
+        for a in 0..self.apps.len() {
+            if self.apps[a].finished() || self.apps[a].iter.is_complete() {
+                continue;
+            }
+            sub!(
+                3,
                 self.apps[a].iter.replica_candidates_into(
                     self.options.max_extra_replicas,
                     &mut self.scratch.cands,
-                );
-                if self.scratch.cands.is_empty() {
-                    continue;
-                }
-                let base = self.apps[a].task_base;
-                for t in self.scratch.cands.iter_mut() {
-                    *t = global_task(base, *t);
-                }
-                // The free mask absorbs earlier applications' replica binds
-                // through the store's changed-block feed, so each round sees
-                // the *currently* free workers.
-                let n_free = self.refresh_free_mask();
-                let k = self.scratch.cands.len().min(n_free);
-                if k == 0 {
-                    continue;
-                }
-                // Re-snapshot to undo the pool rounds' masking (states are
-                // rewritten from the store; cached delays stay exact), then
-                // mask down to the free workers for this app's round.
-                self.snapshot_procs();
-                {
-                    let SlotScratch { procs, free, .. } = &mut self.scratch;
-                    for (pr, &f) in procs.iter_mut().zip(free.iter()) {
-                        if !f {
-                            pr.state = ProcState::Reclaimed;
-                        }
+                )
+            );
+            if self.scratch.cands.is_empty() {
+                continue;
+            }
+            let base = self.apps[a].task_base;
+            for t in self.scratch.cands.iter_mut() {
+                *t = global_task(base, *t);
+            }
+            // The free mask absorbs earlier binds of this slot through the
+            // store's changed-block feed, so each round sees the
+            // *currently* free workers.
+            let n_free = sub!(4, self.refresh_free_mask());
+            let k = self.scratch.cands.len().min(n_free);
+            if k == 0 {
+                continue;
+            }
+            if !have_snapshot {
+                // Nothing refreshed the snapshot yet this slot. A *free*
+                // worker is completely idle, so its full `delay_estimate`
+                // collapses to the program remainder.
+                sub!(0, self.snapshot_procs());
+                have_snapshot = true;
+            }
+            // Restrict the heuristic's choice to the free workers by
+            // masking everyone else as non-UP, in place. No re-snapshot is
+            // needed after earlier rounds' masking: free workers are UP
+            // with room, and the free set only shrinks within a slot, so
+            // every worker an earlier round masked stays masked here, and
+            // masked workers' fields are unread (schedulers only score UP
+            // processors).
+            sub!(5, {
+                let SlotScratch { procs, free, .. } = &mut self.scratch;
+                for (pr, &f) in procs.iter_mut().zip(free.iter()) {
+                    if !f {
+                        pr.state = ProcState::Reclaimed;
                     }
                 }
-                let app_view = AppView {
-                    index: a as u32,
-                    count: n_apps as u32,
-                    weight: self.apps[a].weight,
-                    quota: k as u32,
-                };
-                {
-                    let Self {
-                        scratch,
-                        scheduler,
-                        chains,
-                        app,
-                        ledger,
-                        ..
-                    } = self;
-                    let view = SchedView {
-                        procs: &scratch.procs,
-                        chains,
-                        t_prog: app.t_prog,
-                        t_data: app.t_data,
-                        ncom: ledger.ncom(),
-                        room: None,
-                        app: Some(app_view),
-                    };
-                    scratch.placements.clear();
-                    scheduler.place_into(&view, k, &mut scratch.placements);
-                }
+            });
+            // Free workers have full room by construction, so the view
+            // carries no room column.
+            let app_view = self.app_view(a, k);
+            sub!(6, self.place_round(k, false, Some(app_view)));
+            sub!(7, {
                 let placed = self.scratch.placements.len().min(k);
                 for j in 0..placed {
                     let task = self.scratch.cands[j];
                     let pid = self.scratch.placements[j];
-                    let copy = {
-                        let (it, lt) = iter_for(&mut self.apps, task);
-                        let local = it.mint_replica(lt);
-                        CopyId {
-                            task,
-                            replica: local.replica,
-                        }
+                    let (it, lt) = iter_for(&mut self.apps, task);
+                    let copy = CopyId {
+                        task,
+                        replica: it.mint_replica(lt).replica,
                     };
                     if !self.try_bind(pid.idx(), copy) {
                         let (it, lt) = iter_for(&mut self.apps, task);
                         it.drop_replica(lt);
                     }
                 }
-            }
+            });
         }
+    }
+
+    /// The advisory [`AppView`] of application `a`'s round with `quota`.
+    fn app_view(&self, a: usize, quota: usize) -> AppView {
+        AppView {
+            index: a as u32,
+            count: self.apps.len() as u32,
+            weight: self.apps[a].weight,
+            quota: quota as u32,
+        }
+    }
+
+    /// Asks the scheduler for `count` placements over the current snapshot
+    /// into `scratch.placements`, passing the room column when `with_room`.
+    fn place_round(&mut self, count: usize, with_room: bool, app: Option<AppView>) {
+        let Self {
+            scratch,
+            scheduler,
+            chains,
+            app: comm,
+            ledger,
+            ..
+        } = self;
+        let view = SchedView {
+            procs: &scratch.procs,
+            chains,
+            t_prog: comm.t_prog,
+            t_data: comm.t_data,
+            ncom: ledger.ncom(),
+            room: with_room.then_some(scratch.room.as_slice()),
+            app,
+        };
+        scratch.placements.clear();
+        scheduler.place_into(&view, count, &mut scratch.placements);
     }
 
     /// Brings the replica path's free-worker mask (`scratch.free[q]` iff
@@ -2994,6 +2603,27 @@ mod tests {
         placement_budget: PlacementBudget::Uncapped,
     };
 
+    /// Single-application arena run: a one-spec roster.
+    fn arena_run(
+        arena: &mut SimArena,
+        platform: &PlatformConfig,
+        app: &AppConfig,
+        sched: Box<dyn Scheduler>,
+        trace_seeds: SeedPath,
+        opts: SimOptions,
+    ) -> Result<RunOutcome, ConfigError> {
+        arena
+            .run_apps_seeded(
+                platform,
+                &[AppSpec::rigid(*app)],
+                SharePolicy::default(),
+                sched,
+                trace_seeds,
+                opts,
+            )
+            .map(|o| o.combined)
+    }
+
     #[test]
     fn single_worker_pipeline_analytic_makespan() {
         // p=1, m=2, Tprog=2, Tdata=1, w=3, always UP:
@@ -3397,18 +3027,83 @@ mod tests {
             assert_eq!(seeded, boxed, "replication={replication}");
             // The arena path reuses one warmed bank across runs; it must
             // agree too.
-            let arena = SimArena::new()
-                .run_seeded(
-                    &platform,
-                    &app,
-                    HeuristicKind::EmctStar.build(SeedPath::root(11).rng()),
-                    SeedPath::root(42),
-                    opts,
-                )
-                .unwrap();
+            let arena = arena_run(
+                &mut SimArena::new(),
+                &platform,
+                &app,
+                HeuristicKind::EmctStar.build(SeedPath::root(11).rng()),
+                SeedPath::root(42),
+                opts,
+            )
+            .unwrap();
             assert_eq!(arena.makespan, seeded.makespan, "replication={replication}");
             assert_eq!(arena.slots_run, seeded.slots_run);
         }
+    }
+
+    #[test]
+    fn huge_iteration_counts_construct_and_run() {
+        // `iterations: u64::MAX` passes validation; the barrier logs are
+        // preallocated for the at most `max_slots` barriers a run can
+        // reach, not for every requested iteration.
+        let platform = markov_platform(8, 2);
+        let app = AppConfig {
+            tasks_per_iteration: 4,
+            iterations: u64::MAX,
+            t_prog: 1,
+            t_data: 1,
+        };
+        let opts = SimOptions {
+            max_slots: 10,
+            ..SimOptions::default()
+        };
+        let sched = || HeuristicKind::Mct.build(SeedPath::root(1).rng());
+        let one =
+            Simulation::run_seeded(&platform, &app, sched(), SeedPath::root(2), opts).unwrap();
+        assert_eq!((one.slots_run, one.finished()), (10, false));
+        let two = Simulation::run_multi_seeded(
+            &platform,
+            &[AppSpec::rigid(app), AppSpec::rigid(app)],
+            SharePolicy::EqualSplit,
+            sched(),
+            SeedPath::root(2),
+            opts,
+        )
+        .unwrap();
+        assert_eq!(
+            (two.combined.slots_run, two.combined.finished()),
+            (10, false)
+        );
+        let arena = arena_run(
+            &mut SimArena::new(),
+            &platform,
+            &app,
+            sched(),
+            SeedPath::root(2),
+            opts,
+        )
+        .unwrap();
+        assert_eq!((arena.slots_run, arena.finished()), (10, false));
+    }
+
+    #[test]
+    fn zero_share_weight_is_rejected() {
+        let platform = always_up(2, 1, 1);
+        let app = AppConfig {
+            tasks_per_iteration: 2,
+            iterations: 1,
+            t_prog: 1,
+            t_data: 1,
+        };
+        let err = Simulation::run_multi_seeded(
+            &platform,
+            &[AppSpec::weighted(app, 0)],
+            SharePolicy::Weighted,
+            HeuristicKind::Mct.build(SeedPath::root(1).rng()),
+            SeedPath::root(2),
+            NO_REP,
+        );
+        assert!(err.is_err());
     }
 
     #[test]
@@ -3465,15 +3160,15 @@ mod tests {
             };
             for kind in [HeuristicKind::EmctStar, HeuristicKind::Random2w] {
                 let seed = (round * 10 + p) as u64;
-                let warm = arena
-                    .run_seeded(
-                        &platform,
-                        &app,
-                        kind.build(SeedPath::root(seed).rng()),
-                        SeedPath::root(seed + 1),
-                        options,
-                    )
-                    .unwrap();
+                let warm = arena_run(
+                    &mut arena,
+                    &platform,
+                    &app,
+                    kind.build(SeedPath::root(seed).rng()),
+                    SeedPath::root(seed + 1),
+                    options,
+                )
+                .unwrap();
                 let cold = Simulation::run_seeded(
                     &platform,
                     &app,
@@ -3495,11 +3190,11 @@ mod tests {
     }
 
     #[test]
-    fn arena_run_configured_matches_run_seeded() {
-        // Shared chains + caller-built sources (the general entry point)
-        // must be bit-identical to the self-seeding path — including when
-        // one arena alternates between equally sized but different
-        // platforms (scheduler caches must not leak across runs).
+    fn arena_shared_trace_matches_run_seeded() {
+        // Shared chains + a recorded trace (the campaign entry point) must
+        // be bit-identical to the self-seeding path — including when one
+        // arena alternates between equally sized but different platforms
+        // (scheduler caches must not leak across runs).
         let mut arena = SimArena::new();
         let app = AppConfig {
             tasks_per_iteration: 8,
@@ -3528,13 +3223,15 @@ mod tests {
                 }
             };
             let chains = platform_chain_stats(&platform);
-            let configured = arena
-                .run_configured(
+            let trace = SharedTraceMatrix::record(sources_for(&platform, 13));
+            let shared = arena
+                .run_shared_trace_overlay(
                     &platform,
                     &app,
                     kind.build(SeedPath::root(9).rng()),
                     &chains,
-                    sources_for(&platform, 13),
+                    &trace,
+                    None,
                     SimOptions::default(),
                 )
                 .unwrap();
@@ -3546,20 +3243,18 @@ mod tests {
                 SimOptions::default(),
             )
             .unwrap();
-            assert_eq!(configured.makespan, seeded.makespan, "{kind} pseed={pseed}");
-            assert_eq!(
-                configured.slots_run, seeded.slots_run,
-                "{kind} pseed={pseed}"
-            );
+            assert_eq!(shared.makespan, seeded.makespan, "{kind} pseed={pseed}");
+            assert_eq!(shared.slots_run, seeded.slots_run, "{kind} pseed={pseed}");
         }
         // Mismatched chains are rejected, not misused.
         let platform = always_up(2, 1, 1);
-        let err = arena.run_configured(
+        let err = arena.run_shared_trace_overlay(
             &platform,
             &app,
             HeuristicKind::Mct.build(SeedPath::root(1).rng()),
             &[],
-            sources_for(&platform, 1),
+            &SharedTraceMatrix::record(sources_for(&platform, 1)),
+            None,
             SimOptions::default(),
         );
         assert!(err.is_err());
@@ -3575,7 +3270,8 @@ mod tests {
             t_data: 1,
         };
         let mut arena = SimArena::new();
-        let err = arena.run_seeded(
+        let err = arena_run(
+            &mut arena,
             &platform,
             &app,
             HeuristicKind::Mct.build(SeedPath::root(1).rng()),
@@ -3598,18 +3294,18 @@ mod tests {
             t_data: 1,
         };
         let mut arena = SimArena::new();
-        let outcome = arena
-            .run_seeded(
-                &platform,
-                &app,
-                HeuristicKind::Mct.build(SeedPath::root(1).rng()),
-                SeedPath::root(2),
-                SimOptions {
-                    max_slots: 25,
-                    ..NO_REP
-                },
-            )
-            .unwrap();
+        let outcome = arena_run(
+            &mut arena,
+            &platform,
+            &app,
+            HeuristicKind::Mct.build(SeedPath::root(1).rng()),
+            SeedPath::root(2),
+            SimOptions {
+                max_slots: 25,
+                ..NO_REP
+            },
+        )
+        .unwrap();
         assert!(!outcome.finished());
         assert_eq!(outcome.makespan, None);
         assert_eq!(outcome.makespan_or_cap(), 25);

@@ -25,16 +25,17 @@
 //! (worker runtimes, chain statistics, the whole slot scratch) before the
 //! first slot executes. A [`SimArena`] keeps all of those
 //! buffers warm across runs — one arena per worker thread — and
-//! [`SimArena::run_seeded`](engine::SimArena::run_seeded) returns a lean
-//! [`RunOutcome`] (no strings, no vectors) whose results
-//! are **bit-identical** to [`Simulation::run_seeded`](engine::Simulation::run_seeded):
+//! [`SimArena::run_apps_seeded`](engine::SimArena::run_apps_seeded) returns
+//! lean outcomes (a [`RunOutcome`] plus one [`AppOutcome`] per application,
+//! no strings) whose results are **bit-identical** to
+//! [`Simulation::run_seeded`](engine::Simulation::run_seeded):
 //!
 //! ```
-//! use vg_core::HeuristicKind;
+//! use vg_core::{HeuristicKind, SharePolicy};
 //! use vg_des::rng::SeedPath;
 //! use vg_markov::availability::AvailabilityChain;
 //! use vg_platform::{AppConfig, PlatformConfig, ProcessorConfig, StartPolicy};
-//! use vg_sim::{SimArena, SimOptions, Simulation};
+//! use vg_sim::{AppSpec, SimArena, SimOptions, Simulation};
 //!
 //! let mut rng = SeedPath::root(1).rng();
 //! let platform = PlatformConfig {
@@ -51,13 +52,15 @@
 //!
 //! let mut arena = SimArena::new();
 //! for trial in 0..3 {
-//!     let outcome = arena.run_seeded(
+//!     // A single application is a one-spec roster.
+//!     let outcome = arena.run_apps_seeded(
 //!         &platform,
-//!         &app,
+//!         &[AppSpec::rigid(app)],
+//!         SharePolicy::default(),
 //!         HeuristicKind::Emct.build(SeedPath::root(10 + trial).rng()),
 //!         SeedPath::root(20 + trial),
 //!         SimOptions::default(),
-//!     ).unwrap();
+//!     ).unwrap().combined;
 //!     // Same seeds through a cold engine give the same answer, bit for bit.
 //!     let cold = Simulation::run_seeded(
 //!         &platform,

@@ -86,6 +86,10 @@ pub struct IterationState {
     completed: Vec<bool>,
     n_completed: usize,
     original: Vec<OriginalState>,
+    /// Number of tasks whose original sits in the pool (`Pool` and not
+    /// completed), kept in step with `original` so [`Self::pool_len`] is
+    /// O(1).
+    n_pool: usize,
     replicas_alive: Vec<u8>,
     next_replica: Vec<u8>,
     /// Replica-count cap per task (`max_extra_replicas` of the run) — the
@@ -115,6 +119,7 @@ impl IterationState {
             completed: Vec::new(),
             n_completed: 0,
             original: Vec::new(),
+            n_pool: 0,
             replicas_alive: Vec::new(),
             next_replica: Vec::new(),
             max_extra: 0,
@@ -135,6 +140,7 @@ impl IterationState {
             completed: vec![false; m],
             n_completed: 0,
             original: vec![OriginalState::Pool; m],
+            n_pool: m,
             replicas_alive: vec![0; m],
             next_replica: vec![0; m],
             max_extra: usize::from(max_extra),
@@ -150,6 +156,7 @@ impl IterationState {
         self.completed.fill(false);
         self.n_completed = 0;
         self.original.fill(OriginalState::Pool);
+        self.n_pool = self.m;
         self.replicas_alive.fill(0);
         self.next_replica.fill(0);
         self.replica_workers.fill(NO_REPLICA_WORKER);
@@ -168,6 +175,7 @@ impl IterationState {
         self.n_completed = 0;
         self.original.clear();
         self.original.resize(m, OriginalState::Pool);
+        self.n_pool = m;
         self.replicas_alive.clear();
         self.replicas_alive.resize(m, 0);
         self.next_replica.clear();
@@ -264,12 +272,17 @@ impl IterationState {
     }
 
     /// Number of schedulable pool tasks — the length
-    /// [`Self::pool_tasks_into`] would produce, without writing it.
+    /// [`Self::pool_tasks_into`] would produce, without writing it. O(1).
     #[must_use]
     pub fn pool_len(&self) -> usize {
-        (0..self.m)
-            .filter(|&i| !self.completed[i] && self.original[i] == OriginalState::Pool)
-            .count()
+        debug_assert_eq!(
+            self.n_pool,
+            (0..self.m)
+                .filter(|&i| !self.completed[i] && self.original[i] == OriginalState::Pool)
+                .count(),
+            "pool count drifted from the original states"
+        );
+        self.n_pool
     }
 
     /// Unfinished tasks eligible for one more replica (fewer than
@@ -362,7 +375,7 @@ impl IterationState {
     /// Marks the original of `task` pinned on `worker`.
     pub fn pin_original(&mut self, task: TaskId, worker: usize) {
         debug_assert_eq!(self.original[task.idx()], OriginalState::Pool);
-        self.original[task.idx()] = OriginalState::Pinned { worker };
+        self.set_original(task.idx(), OriginalState::Pinned { worker });
     }
 
     /// Returns the original of `task` to the pool (crash of its worker).
@@ -371,7 +384,7 @@ impl IterationState {
             self.original[task.idx()],
             OriginalState::Pinned { .. }
         ));
-        self.original[task.idx()] = OriginalState::Pool;
+        self.set_original(task.idx(), OriginalState::Pool);
     }
 
     /// Marks `task` completed; returns `false` if it already was (a sibling
@@ -381,10 +394,18 @@ impl IterationState {
         if self.completed[i] {
             return false;
         }
+        self.set_original(i, OriginalState::Done);
         self.completed[i] = true;
         self.n_completed += 1;
-        self.original[i] = OriginalState::Done;
         true
+    }
+
+    /// Writes task `i`'s original state, keeping `n_pool` in step.
+    fn set_original(&mut self, i: usize, state: OriginalState) {
+        let pooled = |it: &Self| !it.completed[i] && it.original[i] == OriginalState::Pool;
+        self.n_pool -= usize::from(pooled(self));
+        self.original[i] = state;
+        self.n_pool += usize::from(pooled(self));
     }
 }
 

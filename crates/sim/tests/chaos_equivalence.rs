@@ -19,7 +19,7 @@
 //! states (the overlay additionally counts its injections; the wrappers by
 //! design cannot).
 
-use vg_core::HeuristicKind;
+use vg_core::{HeuristicKind, SharePolicy};
 use vg_des::rng::SeedPath;
 use vg_markov::availability::AvailabilityChain;
 use vg_markov::OutageChain;
@@ -27,7 +27,9 @@ use vg_platform::fault::FaultScript;
 use vg_platform::source::{AvailabilitySource, StartPolicy};
 use vg_platform::volatility::{CorrelatedModel, ScriptedOverlay};
 use vg_platform::{AppConfig, CompiledScript, PlatformConfig, ProcessorConfig};
-use vg_sim::{AosWorkers, ReferenceSimulation, SimOptions, SimReport, Simulation, WorkerSoA};
+use vg_sim::{
+    AosWorkers, AppSpec, ReferenceSimulation, SimOptions, SimReport, Simulation, WorkerSoA,
+};
 
 fn platform(p: usize, ncom: usize, seed: u64) -> PlatformConfig {
     let mut rng = SeedPath::root(seed).rng();
@@ -106,9 +108,10 @@ fn run_rows<S: vg_sim::WorkerStore>(
     model: &CorrelatedModel,
 ) -> SimReport {
     let rows = model.build(pf, &SeedPath::root(seed)).unwrap();
-    Simulation::<S>::new_rows_in(
+    Simulation::<S>::new_multi_rows_in(
         pf,
-        &app(),
+        &[AppSpec::rigid(app())],
+        SharePolicy::default(),
         kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
         Box::new(rows),
         options(),
@@ -225,9 +228,10 @@ fn chaos_constructors_reject_mismatched_p() {
     let model = CorrelatedModel::uniform_groups(9, 2, OutageChain::identity());
     let wide = platform(9, 3, 1);
     let rows = model.build(&wide, &SeedPath::root(3)).unwrap();
-    let err = ReferenceSimulation::new_rows_in(
+    let err = ReferenceSimulation::new_multi_rows_in(
         &pf,
-        &app(),
+        &[AppSpec::rigid(app())],
+        SharePolicy::default(),
         HeuristicKind::Emct.build(SeedPath::root(2).rng()),
         Box::new(rows),
         options(),

@@ -29,7 +29,9 @@ use vg_des::rng::SeedPath;
 use vg_markov::availability::AvailabilityChain;
 use vg_platform::source::StartPolicy;
 use vg_platform::{AppConfig, PlatformConfig, ProcessorConfig};
-use vg_sim::{AppSpec, PlacementBudget, ReferenceSimulation, SimArena, SimOptions, Simulation};
+use vg_sim::{
+    AppSpec, PlacementBudget, ReferenceSimulation, SimArena, SimOptions, Simulation, WorkerSoA,
+};
 
 /// Paper-style platform: Markov chains with diagonals in `[0.90, 0.99]`,
 /// speeds in `[2, 20]`.
@@ -121,29 +123,43 @@ fn soa_engine_is_bit_identical_to_aos_reference_across_the_grid() {
                     placement_budget: PlacementBudget::Uncapped,
                 };
                 for kind in HeuristicKind::ALL {
-                    let soa = Simulation::run_seeded(
+                    let soa = Simulation::<WorkerSoA>::new_seeded(
                         &platform,
                         &app,
                         kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
                         SeedPath::root(seed),
                         options,
                     )
-                    .unwrap();
-                    let aos = ReferenceSimulation::run_seeded_in(
+                    .unwrap()
+                    .run_multi();
+                    let aos = ReferenceSimulation::new_seeded(
                         &platform,
                         &app,
                         kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
                         SeedPath::root(seed),
                         options,
                     )
-                    .unwrap();
+                    .unwrap()
+                    .run_multi();
                     assert_eq!(
                         soa, aos,
                         "SoA/AoS divergence: p={} seed={seed} replication={replication} {kind}",
                         cell.p
                     );
+                    // A one-app roster's per-app slice agrees with the
+                    // combined report.
+                    let (combined, per_app) = (&soa.combined, &soa.apps[0]);
+                    assert_eq!(soa.apps.len(), 1);
+                    assert_eq!(per_app.completed_iterations, combined.completed_iterations);
+                    assert_eq!(per_app.makespan, combined.makespan);
+                    assert_eq!(per_app.final_m, cell.m);
+                    assert_eq!(per_app.tasks_completed, combined.counters.tasks_completed);
+                    assert_eq!(
+                        per_app.iteration_completed_at,
+                        combined.iteration_completed_at
+                    );
                     runs += 2;
-                    finished += usize::from(soa.finished());
+                    finished += usize::from(combined.finished());
                 }
             }
         }
@@ -158,97 +174,6 @@ fn soa_engine_is_bit_identical_to_aos_reference_across_the_grid() {
         finished < runs / 2,
         "every run finished — the capped-run half of the grid is gone"
     );
-}
-
-#[test]
-fn multi_app_api_with_single_roster_matches_single_app_api_on_both_layouts() {
-    // The application runtime layer's spine contract: a one-application
-    // roster under `Fixed` reconfiguration and the default equal-split
-    // share, driven through the *multi*-application entry points, must be
-    // **byte-identical** to the historical single-application API — same
-    // grid, all 17 heuristics, both store layouts. The multi API's combined
-    // report is compared field-for-field against `run_seeded`, and the SoA
-    // and AoS multi engines are pinned against each other, so a divergence
-    // in either the app dispatch or the per-layout plumbing lands here.
-    let mut runs = 0usize;
-    for cell in GRID {
-        let ncom = (cell.p / 10).max(3);
-        let seed = cell.seeds[0];
-        let platform = platform(cell.p, ncom, seed);
-        let app = AppConfig {
-            tasks_per_iteration: cell.m,
-            iterations: cell.iterations,
-            t_prog: 10,
-            t_data: 2,
-        };
-        let specs = [AppSpec::rigid(app)];
-        for replication in [false, true] {
-            let options = SimOptions {
-                max_slots: cell.max_slots,
-                replication,
-                max_extra_replicas: 2,
-                record_timeline: false,
-                placement_budget: PlacementBudget::Uncapped,
-            };
-            for kind in HeuristicKind::ALL {
-                let single = Simulation::run_seeded(
-                    &platform,
-                    &app,
-                    kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
-                    SeedPath::root(seed),
-                    options,
-                )
-                .unwrap();
-                let multi = Simulation::run_multi_seeded(
-                    &platform,
-                    &specs,
-                    SharePolicy::default(),
-                    kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
-                    SeedPath::root(seed),
-                    options,
-                )
-                .unwrap();
-                let multi_aos = ReferenceSimulation::run_multi_seeded_in(
-                    &platform,
-                    &specs,
-                    SharePolicy::default(),
-                    kind.build(SeedPath::root(seed ^ 0xbeef).rng()),
-                    SeedPath::root(seed),
-                    options,
-                )
-                .unwrap();
-                assert_eq!(
-                    multi.combined, single,
-                    "multi-API combined report diverged from the single-app \
-                     API: p={} seed={seed} replication={replication} {kind}",
-                    cell.p
-                );
-                assert_eq!(
-                    multi, multi_aos,
-                    "multi-API SoA/AoS divergence: p={} seed={seed} \
-                     replication={replication} {kind}",
-                    cell.p
-                );
-                // The per-app slice of a one-app roster must agree with the
-                // combined report.
-                assert_eq!(multi.apps.len(), 1);
-                let per_app = &multi.apps[0];
-                assert_eq!(per_app.completed_iterations, single.completed_iterations);
-                assert_eq!(per_app.makespan, single.makespan);
-                assert_eq!(per_app.final_m, cell.m);
-                assert_eq!(
-                    per_app.tasks_completed, single.counters.tasks_completed,
-                    "per-app task credit diverged from the shared counter"
-                );
-                assert_eq!(
-                    per_app.iteration_completed_at,
-                    single.iteration_completed_at
-                );
-                runs += 3;
-            }
-        }
-    }
-    assert_eq!(runs, 17 * 2 * 4 * 3, "grid shape drifted");
 }
 
 #[test]
@@ -287,14 +212,16 @@ fn warmed_arena_matches_cold_engines_of_both_layouts_across_resizes() {
             HeuristicKind::Random2w,
         ] {
             let warm = arena
-                .run_seeded(
+                .run_apps_seeded(
                     &platform,
-                    &app,
+                    &[AppSpec::rigid(app)],
+                    SharePolicy::default(),
                     kind.build(SeedPath::root(seed).rng()),
                     SeedPath::root(seed + 1),
                     options,
                 )
-                .unwrap();
+                .unwrap()
+                .combined;
             let cold = Simulation::run_seeded(
                 &platform,
                 &app,
@@ -303,14 +230,15 @@ fn warmed_arena_matches_cold_engines_of_both_layouts_across_resizes() {
                 options,
             )
             .unwrap();
-            let reference = ReferenceSimulation::run_seeded_in(
+            let reference = ReferenceSimulation::new_seeded(
                 &platform,
                 &app,
                 kind.build(SeedPath::root(seed).rng()),
                 SeedPath::root(seed + 1),
                 options,
             )
-            .unwrap();
+            .unwrap()
+            .run();
             assert_eq!(warm.makespan, cold.makespan, "round {round} {kind}");
             assert_eq!(warm.slots_run, cold.slots_run, "round {round} {kind}");
             assert_eq!(
@@ -363,14 +291,16 @@ fn capped_runs_leave_no_stale_dirty_bits_across_arena_resizes() {
             HeuristicKind::Random2w,
         ] {
             let warm = arena
-                .run_seeded(
+                .run_apps_seeded(
                     &platform,
-                    &app,
+                    &[AppSpec::rigid(app)],
+                    SharePolicy::default(),
                     kind.build(SeedPath::root(seed).rng()),
                     SeedPath::root(seed + 1),
                     options,
                 )
-                .unwrap();
+                .unwrap()
+                .combined;
             let cold = Simulation::run_seeded(
                 &platform,
                 &app,
@@ -379,14 +309,15 @@ fn capped_runs_leave_no_stale_dirty_bits_across_arena_resizes() {
                 options,
             )
             .unwrap();
-            let reference = ReferenceSimulation::run_seeded_in(
+            let reference = ReferenceSimulation::new_seeded(
                 &platform,
                 &app,
                 kind.build(SeedPath::root(seed).rng()),
                 SeedPath::root(seed + 1),
                 options,
             )
-            .unwrap();
+            .unwrap()
+            .run();
             assert_eq!(warm.makespan, cold.makespan, "round {round} {kind}");
             assert_eq!(warm.slots_run, cold.slots_run, "round {round} {kind}");
             assert_eq!(

@@ -1,19 +1,17 @@
 //! Golden-digest corpus: the engine's observable output, pinned to history.
 //!
 //! Every row hashes (with the fixed-seed [`DetHasher`]) the `Debug` form of
-//! one or more reports — [`SimReport`] for the single-application API,
-//! [`MultiReport`] for rosters — plus each run's `cap_engagements()`. The
-//! table below was recorded by the engine before its schedule phase was
-//! unified; a refactor that claims byte-identical behavior must leave every
-//! row unchanged.
+//! one or more reports — `SimReport` for the single-application API,
+//! `MultiReport` for rosters — plus each run's `cap_engagements()`. The
+//! table was recorded before the engine's two schedule phases merged into
+//! one; a refactor that claims byte-identical behavior must leave every row
+//! unchanged.
 //!
 //! The grid covers all 17 heuristics at p ∈ {32, 256, 1024} under both
 //! placement budgets with replication on and off (the p = 32 cells engage
-//! the bind-capacity cap), the volatility kinds (independent Markov,
-//! correlated group outages with a diurnal window, a scripted fault
-//! overlay), 1-, 2- and 3-application rosters under every share policy
-//! (with and without replicas), and a few p = 16384 cells that reach the
-//! sharded selector.
+//! the bind-capacity cap), correlated group outages with a diurnal window,
+//! a scripted fault overlay, 1-, 2- and 3-application rosters under every
+//! share policy, and p = 16384 cells that reach the sharded selector.
 //!
 //! To re-record after an *intended* behavior change, run
 //! `GOLDEN_BLESS=1 cargo test -q --test golden_digests -- --nocapture`
@@ -128,12 +126,12 @@ fn platform(p: usize, ncom: usize, seed: u64) -> PlatformConfig {
     }
 }
 
-fn app(m: usize, iterations: u64) -> AppConfig {
+fn app(m: usize, iterations: u64, t_prog: u64, t_data: u64) -> AppConfig {
     AppConfig {
         tasks_per_iteration: m,
         iterations,
-        t_prog: 6,
-        t_data: 2,
+        t_prog,
+        t_data,
     }
 }
 
@@ -147,80 +145,64 @@ fn options(max_slots: u64, replication: bool, budget: PlacementBudget) -> SimOpt
     }
 }
 
-/// Slots, over the whole corpus, in which the bind-capacity cap engaged.
-static ENGAGED: AtomicU64 = AtomicU64::new(0);
-
-/// Folds one finished run into a row digest.
-fn fold(h: &mut DetHasher, report: &impl std::fmt::Debug, engagements: u64) {
-    h.write(format!("{report:?}").as_bytes());
-    h.write_u64(engagements);
-    ENGAGED.fetch_add(engagements, Ordering::Relaxed);
-}
-
-/// Steps `sim` to completion and folds its single-app report.
-fn fold_single(h: &mut DetHasher, mut sim: Simulation<WorkerSoA>) {
-    while !sim.is_done() {
-        sim.step();
-    }
-    let engagements = sim.cap_engagements();
-    fold(h, &sim.into_report(), engagements);
-}
-
-/// Steps `sim` to completion and folds its roster report.
-fn fold_multi(h: &mut DetHasher, mut sim: Simulation<WorkerSoA>) {
-    while !sim.is_done() {
-        sim.step();
-    }
-    let engagements = sim.cap_engagements();
-    fold(h, &sim.into_multi_report(), engagements);
-}
-
+/// A seeded engine; the scheduler's RNG stream is `SeedPath::root(sched)`.
 fn seeded(
     pf: &PlatformConfig,
     specs: &[AppSpec],
     share: SharePolicy,
     kind: HeuristicKind,
-    seed: u64,
+    sched: u64,
+    trace: u64,
     opts: SimOptions,
 ) -> Simulation<WorkerSoA> {
-    Simulation::<WorkerSoA>::new_multi_seeded(
-        pf,
-        specs,
-        share,
-        kind.build(SeedPath::root(seed ^ 0x5eed).rng()),
-        SeedPath::root(seed),
-        opts,
-    )
-    .unwrap()
+    let sched = kind.build(SeedPath::root(sched).rng());
+    Simulation::new_multi_seeded(pf, specs, share, sched, SeedPath::root(trace), opts).unwrap()
+}
+
+/// Slots, over the whole corpus, in which the bind-capacity cap engaged.
+static ENGAGED: AtomicU64 = AtomicU64::new(0);
+
+/// Steps `sim` to completion and folds its report — the roster report when
+/// `multi` — and its cap engagements into `h`.
+fn fold(h: &mut DetHasher, mut sim: Simulation<WorkerSoA>, multi: bool) {
+    while !sim.is_done() {
+        sim.step();
+    }
+    let engagements = sim.cap_engagements();
+    let text = if multi {
+        format!("{:?}", sim.into_multi_report())
+    } else {
+        format!("{:?}", sim.into_report())
+    };
+    h.write(text.as_bytes());
+    h.write_u64(engagements);
+    ENGAGED.fetch_add(engagements, Ordering::Relaxed);
 }
 
 const BUDGETS: [PlacementBudget; 2] = [PlacementBudget::Uncapped, PlacementBudget::BindCapacity];
-const SHARES: [SharePolicy; 3] = [
-    SharePolicy::StrictPriority,
-    SharePolicy::EqualSplit,
-    SharePolicy::Weighted,
-];
 
 /// 17 heuristics × p ∈ {32, 256, 1024}: one row per (p, heuristic), each
-/// folding both budgets with replication off and on.
+/// folding both budgets with replication off and on. m = 3p at p = 32
+/// oversubscribes the platform, so the bind-capacity cap engages there.
 fn heuristic_grid(rows: &mut Vec<(String, u64)>) {
-    // (p, m, max_slots): m = 3p at p = 32 oversubscribes the platform, so
-    // the bind-capacity cap engages there.
     for (p, m, max_slots) in [(32usize, 96usize, 400u64), (256, 96, 150), (1024, 64, 60)] {
         let pf = platform(p, 4, p as u64);
+        let specs = [AppSpec::rigid(app(m, 2, 6, 2))];
         for kind in HeuristicKind::ALL {
             let mut h = DetHasher::default();
             for budget in BUDGETS {
                 for replication in [false, true] {
-                    let sim = Simulation::<WorkerSoA>::new_seeded(
+                    let opts = options(max_slots, replication, budget);
+                    let sim = seeded(
                         &pf,
-                        &app(m, 2),
-                        kind.build(SeedPath::root(7).rng()),
-                        SeedPath::root(p as u64 + 1),
-                        options(max_slots, replication, budget),
-                    )
-                    .unwrap();
-                    fold_single(&mut h, sim);
+                        &specs,
+                        SharePolicy::default(),
+                        kind,
+                        7,
+                        p as u64 + 1,
+                        opts,
+                    );
+                    fold(&mut h, sim, false);
                 }
             }
             rows.push((format!("p{p}/{kind}"), h.finish()));
@@ -239,42 +221,24 @@ fn volatility_grid(rows: &mut Vec<(String, u64)>) {
         off_len: 8,
         group_stagger: 5,
     });
-    let script = FaultScript::parse(
-        "group rack = 0..16\n\
-         kill group rack at 10 for 15\n\
-         degrade 25% at 30 for 10\n\
-         kill 8 at 55",
-    )
-    .unwrap()
-    .compile(p)
-    .unwrap();
+    let script =
+        "group rack = 0..16\nkill group rack at 10 for 15\ndegrade 25% at 30 for 10\nkill 8 at 55";
+    let script = FaultScript::parse(script).unwrap().compile(p).unwrap();
+    let specs = [AppSpec::rigid(app(48, 2, 6, 2))];
     for replication in [false, true] {
         let opts = options(400, replication, PlacementBudget::Uncapped);
         let (mut corr, mut scripted) = (DetHasher::default(), DetHasher::default());
         for kind in HeuristicKind::ALL {
-            let rows_src = model.build(&pf, &SeedPath::root(3)).unwrap();
-            let sim = Simulation::<WorkerSoA>::new_multi_rows_in(
-                &pf,
-                &[AppSpec::rigid(app(48, 2))],
-                SharePolicy::default(),
-                kind.build(SeedPath::root(8).rng()),
-                Box::new(rows_src),
-                opts,
-            )
-            .unwrap();
-            fold_multi(&mut corr, sim);
+            let rows_src = Box::new(model.build(&pf, &SeedPath::root(3)).unwrap());
+            let sched = kind.build(SeedPath::root(8).rng());
+            let share = SharePolicy::default();
+            let sim = Simulation::new_multi_rows_in(&pf, &specs, share, sched, rows_src, opts);
+            fold(&mut corr, sim.unwrap(), true);
 
-            let mut sim = Simulation::<WorkerSoA>::new_seeded(
-                &pf,
-                &app(48, 2),
-                kind.build(SeedPath::root(8).rng()),
-                SeedPath::root(3),
-                opts,
-            )
-            .unwrap();
+            let mut sim = seeded(&pf, &specs, share, kind, 8, 3, opts);
             sim.set_overlay(ScriptedOverlay::new(script.clone()))
                 .unwrap();
-            fold_single(&mut scripted, sim);
+            fold(&mut scripted, sim, false);
         }
         rows.push((format!("correlated/rep={replication}"), corr.finish()));
         rows.push((format!("scripted/rep={replication}"), scripted.finish()));
@@ -291,36 +255,46 @@ fn roster_grid(rows: &mut Vec<(String, u64)>) {
         min_tasks: 4,
         max_tasks: 60,
     };
-    let rosters: [(&str, Vec<AppSpec>); 3] = [
-        ("1app", vec![AppSpec::rigid(app(40, 2))]),
+    let rosters = [
+        ("1app", vec![AppSpec::rigid(app(40, 2, 6, 2))]),
         (
             "2app",
             vec![
-                AppSpec::weighted(app(30, 2), 3),
-                AppSpec::moldable(app(12, 3), moldable),
+                AppSpec::weighted(app(30, 2, 6, 2), 3),
+                AppSpec::moldable(app(12, 3, 6, 2), moldable),
             ],
         ),
         (
             "3app",
             vec![
-                AppSpec::rigid(app(20, 2)),
-                AppSpec::weighted(app(16, 2), 2),
-                AppSpec::moldable(app(10, 2), moldable),
+                AppSpec::rigid(app(20, 2, 6, 2)),
+                AppSpec::weighted(app(16, 2, 6, 2), 2),
+                AppSpec::moldable(app(10, 2, 6, 2), moldable),
             ],
         ),
     ];
+    let shares = [
+        SharePolicy::StrictPriority,
+        SharePolicy::EqualSplit,
+        SharePolicy::Weighted,
+    ];
+    let kinds = [
+        HeuristicKind::Emct,
+        HeuristicKind::UdStar,
+        HeuristicKind::Random2w,
+    ];
     for (name, specs) in &rosters {
-        for share in SHARES {
+        for share in shares {
             for replication in [false, true] {
                 let mut h = DetHasher::default();
                 for budget in BUDGETS {
-                    for kind in [
-                        HeuristicKind::Emct,
-                        HeuristicKind::UdStar,
-                        HeuristicKind::Random2w,
-                    ] {
+                    for kind in kinds {
                         let opts = options(500, replication, budget);
-                        fold_multi(&mut h, seeded(&pf, specs, share, kind, 11, opts));
+                        fold(
+                            &mut h,
+                            seeded(&pf, specs, share, kind, 11 ^ 0x5eed, 11, opts),
+                            true,
+                        );
                     }
                 }
                 rows.push((format!("{name}/{share:?}/rep={replication}"), h.finish()));
@@ -333,28 +307,23 @@ fn roster_grid(rows: &mut Vec<(String, u64)>) {
 /// 8192 UP candidates take the sharded selector.
 fn sharded_grid(rows: &mut Vec<(String, u64)>) {
     let pf = platform(16384, 8, 16384);
-    let short = AppConfig {
-        tasks_per_iteration: 64,
-        iterations: 1,
-        t_prog: 2,
-        t_data: 1,
-    };
+    let specs = [AppSpec::rigid(app(64, 1, 2, 1))];
     for budget in BUDGETS {
         for replication in [false, true] {
             let mut h = DetHasher::default();
-            let sim = Simulation::<WorkerSoA>::new_seeded(
+            let opts = options(12, replication, budget);
+            let sim = seeded(
                 &pf,
-                &short,
-                HeuristicKind::EmctStar.build(SeedPath::root(9).rng()),
-                SeedPath::root(16385),
-                options(12, replication, budget),
-            )
-            .unwrap();
-            fold_single(&mut h, sim);
-            rows.push((
-                format!("p16384/EMCT*/{budget:?}/rep={replication}"),
-                h.finish(),
-            ));
+                &specs,
+                SharePolicy::default(),
+                HeuristicKind::EmctStar,
+                9,
+                16385,
+                opts,
+            );
+            fold(&mut h, sim, false);
+            let row = format!("p16384/EMCT*/{budget:?}/rep={replication}");
+            rows.push((row, h.finish()));
         }
     }
 }
@@ -377,6 +346,7 @@ fn golden_digests_are_unchanged() {
         ENGAGED.load(Ordering::Relaxed) > 0,
         "no cell engaged the cap"
     );
+    assert_eq!(rows.len(), GOLDEN.len(), "row count changed");
     let mismatches: Vec<String> = rows
         .iter()
         .zip(GOLDEN)
@@ -385,7 +355,6 @@ fn golden_digests_are_unchanged() {
             format!("{name}: {digest:#018x} (golden {gname}: {gdigest:#018x})")
         })
         .collect();
-    assert_eq!(rows.len(), GOLDEN.len(), "row count changed");
     assert!(
         mismatches.is_empty(),
         "{} golden rows changed:\n{}",
