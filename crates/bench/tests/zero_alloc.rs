@@ -60,7 +60,7 @@ fn warmed_simulation(p: usize, replication: bool, placement_budget: PlacementBud
 
 /// The full chaos stack in steady state: a [`CorrelatedModel`] row source
 /// (per-worker base chains × 4 group modulators × diurnal phase) feeding the
-/// engine through `SourceBank::Rows`, with a scripted overlay whose spans
+/// engine as its row source, with a scripted overlay whose spans
 /// stay **active across the entire measured window** — every measured slot
 /// pays the row fill, the group draws, the diurnal demotion and the overlay
 /// forcing. All of it must be exactly as silent as the plain slot loop.
@@ -120,12 +120,12 @@ fn warmed_two_app_simulation(p: usize) -> Simulation {
                 .build_source(SeedPath::root(2).child(q as u64).rng())
         })
         .collect();
-    Simulation::new_multi_in(
+    Simulation::new_multi_rows_in(
         &platform,
         &specs,
         SharePolicy::Weighted,
         HeuristicKind::EmctStar.build(SeedPath::root(1).rng()),
-        sources,
+        Box::new(sources),
         SimOptions {
             max_slots: 1_000_000,
             replication: true,

@@ -50,9 +50,9 @@ use vg_des::rng::SeedPath;
 use vg_des::stats::OnlineStats;
 use vg_des::Slot;
 use vg_markov::availability::ChainStats;
-use vg_platform::source::{AvailabilitySource, SharedTraceMatrix};
-use vg_platform::volatility::ScriptedOverlay;
-use vg_platform::CompiledScript;
+use vg_platform::source::{seeded_rows, RowSource, SharedTraceMatrix};
+use vg_platform::volatility::{CorrelatedModel, ScriptedOverlay};
+use vg_platform::{CompiledScript, ConfigError};
 use vg_sim::{platform_chain_stats, AppSpec, SimArena, SimOptions, Simulation, WorkerSoA};
 
 use crate::scenario::{make_scenario, Scenario, ScenarioParams};
@@ -332,6 +332,81 @@ fn instance_seeds(
     (trace_path, sched_path)
 }
 
+/// The chaos layer of an instance's cell: its compiled fault script and
+/// correlated model, when the cell has them.
+type Chaos = (Option<CompiledScript>, Option<CorrelatedModel>);
+
+/// Resolves the chaos layer of `scenario`'s cell, once per instance. `None`
+/// means the spec was rejected: the generators only emit valid specs, but a
+/// campaign must not abort mid-flight, so both runners then score the
+/// instance as all-capped.
+fn resolve_chaos(scenario: &Scenario) -> Option<Chaos> {
+    let p = scenario.platform.p();
+    let volatility = &scenario.params.volatility;
+    let chaos = volatility
+        .fault_script(p)
+        .and_then(|script| Ok((script, volatility.correlated_model(p)?)));
+    match chaos {
+        Ok(parts) => Some(parts),
+        Err(e) => {
+            debug_assert!(false, "volatility spec rejected: {e}");
+            None
+        }
+    }
+}
+
+/// The instance's availability rows: the correlated model's when the cell
+/// has one, the platform's seeded rows otherwise. The correlated model's
+/// base worker streams use the exact per-processor seeds of the
+/// independent path, so identity models reproduce it bit for bit.
+fn instance_rows(
+    scenario: &Scenario,
+    model: Option<&CorrelatedModel>,
+    trace_path: &SeedPath,
+) -> Result<Box<dyn RowSource>, ConfigError> {
+    Ok(match model {
+        Some(model) => Box::new(model.build(&scenario.platform, trace_path)?),
+        None => seeded_rows(&scenario.platform, trace_path),
+    })
+}
+
+/// An instance on which every heuristic is charged the slot cap, unfinished.
+fn all_capped(cell: usize, heuristics: usize, sim: SimOptions) -> InstanceOutcome {
+    InstanceOutcome {
+        cell,
+        makespans: vec![sim.max_slots; heuristics],
+        completed: vec![false; heuristics],
+    }
+}
+
+/// Scores every heuristic's run — `run(h, kind)` returns its makespan (or
+/// burned cap) and whether it finished — into one instance outcome. A run
+/// the engine rejected is scored as capped (a lower bound that can never
+/// win), exactly like a run that burned its slot cap: scenario generators
+/// only emit valid configs, but a rejected one must not abort a multi-hour
+/// campaign, and both runners must stay bit-identical on every path.
+fn score_instance(
+    cell: usize,
+    heuristics: &[HeuristicKind],
+    sim: SimOptions,
+    mut run: impl FnMut(usize, HeuristicKind) -> Result<(Slot, bool), ConfigError>,
+) -> InstanceOutcome {
+    let mut outcome = InstanceOutcome {
+        cell,
+        makespans: Vec::with_capacity(heuristics.len()),
+        completed: Vec::with_capacity(heuristics.len()),
+    };
+    for (h, &kind) in heuristics.iter().enumerate() {
+        let (makespan, finished) = run(h, kind).unwrap_or_else(|e| {
+            debug_assert!(false, "scenario config rejected: {e}");
+            (sim.max_slots, false)
+        });
+        outcome.makespans.push(makespan);
+        outcome.completed.push(finished);
+    }
+    outcome
+}
+
 /// Runs one instance through a **warmed arena**: every heuristic on
 /// byte-identical availability, reusing the arena's buffers across runs.
 ///
@@ -340,9 +415,10 @@ fn instance_seeds(
 /// availability trace is sampled once into a
 /// [`SharedTraceMatrix`] by whichever run gets furthest first and replayed
 /// by the other 16 heuristics (common random numbers make their traces
-/// byte-identical anyway). Results are bit-identical to [`run_instance`].
+/// byte-identical anyway). Results are bit-identical to
+/// [`run_instance_fresh`].
 #[must_use]
-#[allow(clippy::too_many_arguments)] // mirrors run_instance's identity tuple plus the shared state
+#[allow(clippy::too_many_arguments)] // mirrors run_instance_fresh's identity tuple plus the shared state
 pub fn run_instance_in(
     arena: &mut SimArena,
     scenario: &Scenario,
@@ -355,87 +431,29 @@ pub fn run_instance_in(
     sim: SimOptions,
 ) -> InstanceOutcome {
     let (trace_path, sched_path) = instance_seeds(master_seed, cell, scenario_idx, trial);
-    let p = scenario.platform.p();
-    // The chaos layer of the cell, resolved once per instance. A malformed
-    // spec scores every heuristic as capped (the generators only emit valid
-    // specs, but a campaign must not abort mid-flight).
-    let chaos = scenario
-        .params
-        .volatility
-        .fault_script(p)
-        .and_then(|script| {
-            let model = scenario.params.volatility.correlated_model(p)?;
-            Ok((script, model))
-        });
-    let (script, model) = match chaos {
-        Ok(parts) => parts,
+    let Some((script, model)) = resolve_chaos(scenario) else {
+        return all_capped(cell, heuristics.len(), sim);
+    };
+    let trace = match instance_rows(scenario, model.as_ref(), &trace_path) {
+        Ok(rows) => SharedTraceMatrix::record_rows(rows),
         Err(e) => {
             debug_assert!(false, "volatility spec rejected: {e}");
-            return InstanceOutcome {
-                cell,
-                makespans: vec![sim.max_slots; heuristics.len()],
-                completed: vec![false; heuristics.len()],
-            };
+            return all_capped(cell, heuristics.len(), sim);
         }
     };
-    let trace = match model {
-        // Correlated rows replace the per-worker sampling; the base worker
-        // streams inside the row source use the exact per-processor seeds of
-        // the independent path, so identity models reproduce it bit for bit.
-        Some(model) => match model.build(&scenario.platform, &trace_path) {
-            Ok(rows) => SharedTraceMatrix::record_rows(Box::new(rows)),
-            Err(e) => {
-                debug_assert!(false, "volatility spec rejected: {e}");
-                return InstanceOutcome {
-                    cell,
-                    makespans: vec![sim.max_slots; heuristics.len()],
-                    completed: vec![false; heuristics.len()],
-                };
-            }
-        },
-        None => {
-            let live: Vec<Box<dyn AvailabilitySource>> = scenario
-                .platform
-                .processors
-                .iter()
-                .enumerate()
-                .map(|(q, pc)| pc.avail.build_source(trace_path.child(q as u64).rng()))
-                .collect();
-            SharedTraceMatrix::record(live)
-        }
-    };
-    let mut makespans = Vec::with_capacity(heuristics.len());
-    let mut completed = Vec::with_capacity(heuristics.len());
-    for (h, kind) in heuristics.iter().enumerate() {
-        match arena.run_shared_trace_overlay(
-            &scenario.platform,
-            &scenario.app,
-            kind.build(sched_path.child(h as u64).rng()),
-            chains,
-            &trace,
-            script.as_ref(),
-            sim,
-        ) {
-            Ok(outcome) => {
-                makespans.push(outcome.makespan_or_cap());
-                completed.push(outcome.finished());
-            }
-            Err(e) => {
-                // Scenario generators only emit valid configs, but an
-                // engine-rejected one must not abort a multi-hour campaign:
-                // score it as a capped run (a lower bound that can never
-                // win), exactly like a run that burned its slot cap.
-                debug_assert!(false, "scenario config rejected: {e}");
-                makespans.push(sim.max_slots);
-                completed.push(false);
-            }
-        }
-    }
-    InstanceOutcome {
-        cell,
-        makespans,
-        completed,
-    }
+    score_instance(cell, heuristics, sim, |h, kind| {
+        arena
+            .run_shared_trace_overlay(
+                &scenario.platform,
+                &scenario.app,
+                kind.build(sched_path.child(h as u64).rng()),
+                chains,
+                &trace,
+                script.as_ref(),
+                sim,
+            )
+            .map(|o| (o.makespan_or_cap(), o.finished()))
+    })
 }
 
 /// Runs one instance with a **fresh engine per run** (the PR 1 path): every
@@ -451,118 +469,25 @@ pub fn run_instance_fresh(
     sim: SimOptions,
 ) -> InstanceOutcome {
     let (trace_path, sched_path) = instance_seeds(master_seed, cell, scenario_idx, trial);
-    let p = scenario.platform.p();
-    let chaos = scenario
-        .params
-        .volatility
-        .fault_script(p)
-        .and_then(|script| {
-            let model = scenario.params.volatility.correlated_model(p)?;
-            Ok((script, model))
-        });
-    let (script, model) = match chaos {
-        Ok(parts) => parts,
-        Err(e) => {
-            debug_assert!(false, "volatility spec rejected: {e}");
-            return InstanceOutcome {
-                cell,
-                makespans: vec![sim.max_slots; heuristics.len()],
-                completed: vec![false; heuristics.len()],
-            };
-        }
+    let Some((script, model)) = resolve_chaos(scenario) else {
+        return all_capped(cell, heuristics.len(), sim);
     };
-    let mut makespans = Vec::with_capacity(heuristics.len());
-    let mut completed = Vec::with_capacity(heuristics.len());
-    for (h, kind) in heuristics.iter().enumerate() {
-        let report = run_fresh_one(
-            scenario,
-            *kind,
-            &sched_path.child(h as u64),
-            &trace_path,
-            script.as_ref(),
-            model.as_ref(),
-            sim,
-        );
-        match report {
-            Ok(report) => {
-                makespans.push(report.makespan_or_cap());
-                completed.push(report.finished());
-            }
-            Err(e) => {
-                // Same capped-run scoring as `run_instance_in`: the two
-                // runners must stay bit-identical on every path, rejected
-                // configurations included.
-                debug_assert!(false, "scenario config rejected: {e}");
-                makespans.push(sim.max_slots);
-                completed.push(false);
-            }
-        }
-    }
-    InstanceOutcome {
-        cell,
-        makespans,
-        completed,
-    }
-}
-
-/// One fresh-engine run of `run_instance_fresh`, chaos layers included —
-/// the reference twin of the arena's shared-trace-plus-overlay path.
-fn run_fresh_one(
-    scenario: &Scenario,
-    kind: HeuristicKind,
-    sched_seed: &SeedPath,
-    trace_path: &SeedPath,
-    script: Option<&CompiledScript>,
-    model: Option<&vg_platform::volatility::CorrelatedModel>,
-    sim: SimOptions,
-) -> Result<vg_sim::SimReport, vg_platform::ConfigError> {
-    let mut engine = match model {
-        Some(model) => Simulation::<WorkerSoA>::new_multi_rows_in(
+    score_instance(cell, heuristics, sim, |h, kind| {
+        // The reference twin of the arena's shared-trace-plus-overlay path.
+        let mut engine = Simulation::<WorkerSoA>::new_multi_rows_in(
             &scenario.platform,
             &[AppSpec::rigid(scenario.app)],
             SharePolicy::default(),
-            kind.build(sched_seed.rng()),
-            Box::new(model.build(&scenario.platform, trace_path)?),
+            kind.build(sched_path.child(h as u64).rng()),
+            instance_rows(scenario, model.as_ref(), &trace_path)?,
             sim,
-        )?,
-        None => Simulation::<WorkerSoA>::new_seeded(
-            &scenario.platform,
-            &scenario.app,
-            kind.build(sched_seed.rng()),
-            *trace_path,
-            sim,
-        )?,
-    };
-    if let Some(script) = script {
-        engine.set_overlay(ScriptedOverlay::new(script.clone()))?;
-    }
-    Ok(engine.run())
-}
-
-/// Runs one instance, returning makespans in heuristic order (slot cap when
-/// incomplete). Compatibility shim over [`run_instance_fresh`]; callers that
-/// care about completion status or throughput should use
-/// [`run_instance_fresh`] / [`run_instance_in`].
-#[must_use]
-pub fn run_instance(
-    scenario: &Scenario,
-    heuristics: &[HeuristicKind],
-    master_seed: u64,
-    cell: usize,
-    scenario_idx: usize,
-    trial: u64,
-    sim: SimOptions,
-) -> Vec<Slot> {
-    run_instance_fresh(
-        scenario,
-        heuristics,
-        master_seed,
-        cell,
-        scenario_idx,
-        trial,
-        sim,
-    )
-    .makespans
+        )?;
+        if let Some(script) = &script {
+            engine.set_overlay(ScriptedOverlay::new(script.clone()))?;
+        }
+        let report = engine.run();
+        Ok((report.makespan_or_cap(), report.finished()))
+    })
 }
 
 fn empty_result(cells: &[ScenarioParams], cfg: &CampaignConfig) -> CampaignResult {

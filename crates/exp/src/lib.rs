@@ -25,7 +25,7 @@ pub mod robustness;
 pub mod scenario;
 
 pub use campaign::{
-    run_campaign, run_campaign_reference, run_instance, run_instance_fresh, run_instance_in,
-    CampaignConfig, CampaignResult, CellStats, HeuristicSummary, InstanceOutcome,
+    run_campaign, run_campaign_reference, run_instance_fresh, run_instance_in, CampaignConfig,
+    CampaignResult, CellStats, HeuristicSummary, InstanceOutcome,
 };
 pub use scenario::{make_scenario, Scenario, ScenarioParams};

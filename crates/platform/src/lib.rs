@@ -30,8 +30,8 @@ pub use fault::{CompiledScript, FaultScript, FaultScriptError};
 pub use network::{BandwidthLedger, TransferKind};
 pub use processor::{ProcessorId, ProcessorSpec};
 pub use source::{
-    AvailabilitySource, MarkovSourceBank, ReplaySource, RowSource, SharedTraceMatrix, StartPolicy,
-    TailBehavior,
+    seeded_rows, AvailabilitySource, MarkovSourceBank, ReplaySource, RowSource, SharedTraceMatrix,
+    StartPolicy, TailBehavior, TraceReplay,
 };
 pub use trace::{RleTrace, Trace};
 pub use trace_io::TraceSet;

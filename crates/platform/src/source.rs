@@ -23,12 +23,20 @@ pub trait AvailabilitySource {
 /// A per-slot availability generator for a **whole platform at once**: one
 /// call emits the next state of every processor, in processor order.
 ///
-/// Per-processor sources ([`AvailabilitySource`]) cannot express *cross-
-/// worker correlation* — a shared group modulator must decide one outage
-/// draw and apply it to every member of the group in the same slot. Row
-/// sources own the whole row, so correlated models (and the dense
-/// [`MarkovSourceBank`]) plug into the engine and the shared-trace recorder
-/// through one interface.
+/// This is the engine's only availability input and the shared-trace
+/// recorder's only live source. Every generator meets it:
+///
+/// * boxed per-processor sources (`Vec<Box<dyn AvailabilitySource>>`),
+///   scanned in processor order;
+/// * the dense [`MarkovSourceBank`];
+/// * [`crate::volatility::CorrelatedSource`] — per-processor sources cannot
+///   express *cross-worker correlation* (a shared group modulator decides
+///   one outage draw for every member of its group in the same slot), so
+///   correlated models need the whole row;
+/// * a [`TraceReplay`] handle of a [`SharedTraceMatrix`] recording.
+///
+/// [`seeded_rows`] is the one place that picks the seeded generator of a
+/// platform.
 pub trait RowSource {
     /// Number of processors per row.
     fn p(&self) -> usize;
@@ -38,6 +46,27 @@ pub trait RowSource {
     fn next_row_into(&mut self, out: &mut Vec<ProcState>);
 }
 
+/// Row sources print their width only: the generators behind them (boxed
+/// sources, RNG columns) have no useful textual form.
+impl std::fmt::Debug for dyn RowSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RowSource")
+            .field("p", &self.p())
+            .finish_non_exhaustive()
+    }
+}
+
+/// One independent source per processor, scanned in processor order.
+impl RowSource for Vec<Box<dyn AvailabilitySource>> {
+    fn p(&self) -> usize {
+        self.len()
+    }
+
+    fn next_row_into(&mut self, out: &mut Vec<ProcState>) {
+        out.extend(self.iter_mut().map(|src| src.next_state()));
+    }
+}
+
 impl RowSource for MarkovSourceBank {
     fn p(&self) -> usize {
         MarkovSourceBank::p(self)
@@ -45,6 +74,27 @@ impl RowSource for MarkovSourceBank {
 
     fn next_row_into(&mut self, out: &mut Vec<ProcState>) {
         MarkovSourceBank::next_row_into(self, out);
+    }
+}
+
+/// The seeded availability of `platform`: processor `q` draws from
+/// `trace_seeds.child(q)`, the layout every seeded engine entry point and
+/// the campaign recorder share. All-Markov platforms — the paper's setting
+/// — get the dense [`MarkovSourceBank`]; anything else gets one boxed
+/// source per processor. The two emit bit-identical rows (the bank's
+/// contract), so the choice is unobservable in any result.
+#[must_use]
+pub fn seeded_rows(platform: &PlatformConfig, trace_seeds: &SeedPath) -> Box<dyn RowSource> {
+    match MarkovSourceBank::try_from_platform(platform, trace_seeds) {
+        Some(bank) => Box::new(bank),
+        None => Box::new(
+            platform
+                .processors
+                .iter()
+                .enumerate()
+                .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng()))
+                .collect::<Vec<_>>(),
+        ),
     }
 }
 
@@ -175,24 +225,7 @@ struct TraceMatrixInner {
     /// Slot-major state matrix: `states[slot * p + q]`.
     states: Vec<ProcState>,
     /// The live generator, consulted only beyond the horizon.
-    live: RowBackend,
-}
-
-/// What samples fresh rows beyond the recorded horizon.
-enum RowBackend {
-    /// One independent live source per processor, scanned in order.
-    PerProc(Vec<Box<dyn AvailabilitySource>>),
-    /// A whole-row generator (dense bank, correlated model).
-    Rows(Box<dyn RowSource>),
-}
-
-impl RowBackend {
-    fn append_row(&mut self, states: &mut Vec<ProcState>) {
-        match self {
-            Self::PerProc(live) => states.extend(live.iter_mut().map(|src| src.next_state())),
-            Self::Rows(rows) => rows.next_row_into(states),
-        }
-    }
+    live: Box<dyn RowSource>,
 }
 
 impl std::fmt::Debug for TraceMatrixInner {
@@ -213,8 +246,7 @@ impl SharedTraceMatrix {
     /// that case as an error.
     #[must_use]
     pub fn record(sources: Vec<Box<dyn AvailabilitySource>>) -> Self {
-        assert!(!sources.is_empty(), "a platform has at least one processor");
-        Self::from_backend(sources.len(), RowBackend::PerProc(sources))
+        Self::record_rows(Box::new(sources))
     }
 
     /// Fallible form of [`Self::record`]: an empty source roster is a loud
@@ -237,7 +269,13 @@ impl SharedTraceMatrix {
     #[must_use]
     pub fn record_rows(rows: Box<dyn RowSource>) -> Self {
         assert!(rows.p() > 0, "a platform has at least one processor");
-        Self::from_backend(rows.p(), RowBackend::Rows(rows))
+        Self {
+            inner: std::rc::Rc::new(std::cell::RefCell::new(TraceMatrixInner {
+                p: rows.p(),
+                states: Vec::new(),
+                live: rows,
+            })),
+        }
     }
 
     /// Fallible form of [`Self::record_rows`]: an empty row source is a
@@ -249,16 +287,6 @@ impl SharedTraceMatrix {
             ));
         }
         Ok(Self::record_rows(rows))
-    }
-
-    fn from_backend(p: usize, live: RowBackend) -> Self {
-        Self {
-            inner: std::rc::Rc::new(std::cell::RefCell::new(TraceMatrixInner {
-                p,
-                states: Vec::new(),
-                live,
-            })),
-        }
     }
 
     /// Number of processors.
@@ -292,10 +320,44 @@ impl SharedTraceMatrix {
         let p = inner.p;
         while (slot + 1) * p > inner.states.len() {
             let TraceMatrixInner { states, live, .. } = &mut *inner;
-            live.append_row(states);
+            live.next_row_into(states);
             debug_assert_eq!(states.len() % p, 0, "row source appended a partial row");
         }
         f(&inner.states[slot * p..(slot + 1) * p])
+    }
+
+    /// A replay handle over this recording that starts at slot 0 and keeps
+    /// its own cursor, so any number of runs can each consume the rows in
+    /// order as a [`RowSource`].
+    #[must_use]
+    pub fn replay(&self) -> TraceReplay {
+        TraceReplay {
+            trace: self.handle(),
+            next_slot: 0,
+        }
+    }
+}
+
+/// A [`SharedTraceMatrix`] read as a [`RowSource`]: each call copies the
+/// next recorded row (one borrow, `p` contiguous bytes), extending the
+/// shared recording from its live source first when the cursor has passed
+/// the horizon. Every handle replays the live source's rows byte for byte,
+/// whichever handle triggered the extension.
+#[derive(Debug)]
+pub struct TraceReplay {
+    trace: SharedTraceMatrix,
+    next_slot: usize,
+}
+
+impl RowSource for TraceReplay {
+    fn p(&self) -> usize {
+        self.trace.p()
+    }
+
+    fn next_row_into(&mut self, out: &mut Vec<ProcState>) {
+        self.trace
+            .with_row(self.next_slot, |row| out.extend_from_slice(row));
+        self.next_slot += 1;
     }
 }
 
@@ -330,39 +392,21 @@ pub struct MarkovSourceBank {
 
 impl MarkovSourceBank {
     /// Builds a bank for `platform` with the per-processor seed layout of
-    /// the engine's `run_seeded` entry points (`trace_seeds.child(q)`).
-    /// Returns `None` when any processor's availability model is not a
-    /// Markov chain (semi-Markov, replay) — callers fall back to boxed
-    /// sources.
+    /// [`seeded_rows`] (`trace_seeds.child(q)`). Returns `None` when any
+    /// processor's availability model is not a Markov chain (semi-Markov,
+    /// replay) — [`seeded_rows`] then falls back to boxed sources.
     #[must_use]
     pub fn try_from_platform(platform: &PlatformConfig, trace_seeds: &SeedPath) -> Option<Self> {
-        let mut bank = Self::default();
-        bank.rebuild_from_platform(platform, trace_seeds)
-            .then_some(bank)
-    }
-
-    /// Re-seeds this bank in place for another run (arena reuse: the
-    /// columns keep their capacity). Returns `false` — leaving the bank
-    /// empty — when the platform has any non-Markov processor.
-    pub fn rebuild_from_platform(
-        &mut self,
-        platform: &PlatformConfig,
-        trace_seeds: &SeedPath,
-    ) -> bool {
-        self.chains.clear();
-        self.chain_idx.clear();
-        self.rngs.clear();
-        self.states.clear();
+        let p = platform.p();
+        let mut bank = Self {
+            chains: Vec::new(),
+            chain_idx: Vec::with_capacity(p),
+            rngs: Vec::with_capacity(p),
+            states: Vec::with_capacity(p),
+        };
         for (q, pc) in platform.processors.iter().enumerate() {
-            // Bail on the first non-Markov processor — the caller falls
-            // back to the boxed per-proc sources — leaving the bank empty,
-            // not half-seeded.
             let AvailabilityModelConfig::Markov { chain, start } = &pc.avail else {
-                self.chains.clear();
-                self.chain_idx.clear();
-                self.rngs.clear();
-                self.states.clear();
-                return false;
+                return None;
             };
             let mut rng = trace_seeds.child(q as u64).rng();
             // Mirror `markov_source` exactly, construction draws included.
@@ -378,21 +422,21 @@ impl MarkovSourceBank {
             // `q`'s own clone would. The probe is capped — a pathological
             // platform of all-distinct chains degrades to per-processor
             // entries (always correct, just unshared) instead of an O(p²)
-            // rebuild.
-            let ci = match self.chains.iter().take(64).position(|c| c == chain) {
+            // build.
+            let ci = match bank.chains.iter().take(64).position(|c| c == chain) {
                 Some(i) => i,
                 None => {
-                    self.chains.push(chain.clone());
-                    self.chains.len() - 1
+                    bank.chains.push(chain.clone());
+                    bank.chains.len() - 1
                 }
             };
             // Lossless: at most one chain is pushed per processor, and
             // validation bounds processor counts to u32.
-            self.chain_idx.push(ci as u32);
-            self.rngs.push(rng);
-            self.states.push(state);
+            bank.chain_idx.push(ci as u32);
+            bank.rngs.push(rng);
+            bank.states.push(state);
         }
-        true
+        Some(bank)
     }
 
     /// Number of processors in the bank.
@@ -637,10 +681,19 @@ mod tests {
 
     #[test]
     fn dense_markov_bank_matches_boxed_streams() {
-        // The bank's per-processor streams must be bit-identical to the
-        // boxed `markov_source` streams under the engine's seed layout,
-        // for both start policies.
+        // The row-source contract, for every implementation: each call
+        // appends exactly `p()` states, and the rows are bit-identical to
+        // the stand-alone boxed `markov_source` streams under the engine's
+        // seed layout, for both start policies. Covered: the boxed vector,
+        // the dense bank, `seeded_rows`, an identity `CorrelatedSource`
+        // (group modulators that never leave Normal), and two replay
+        // handles of one recording read interleaved — `early` created
+        // before any row is recorded, `late` after the horizon extended —
+        // so each handle both replays rows the other recorded and extends
+        // the recording itself.
         use crate::processor::ProcessorSpec;
+        use crate::volatility::CorrelatedModel;
+        use vg_markov::OutageChain;
         let platform = PlatformConfig {
             processors: (0..7)
                 .map(|q| {
@@ -663,23 +716,65 @@ mod tests {
             ncom: 2,
         };
         let seeds = SeedPath::root(9);
-        let mut boxed: Vec<_> = platform
-            .processors
-            .iter()
-            .enumerate()
-            .map(|(q, pc)| pc.avail.build_source(seeds.child(q as u64).rng()))
+        let p = platform.p();
+        let boxed = || -> Vec<Box<dyn AvailabilitySource>> {
+            platform
+                .processors
+                .iter()
+                .enumerate()
+                .map(|(q, pc)| pc.avail.build_source(seeds.child(q as u64).rng()))
+                .collect()
+        };
+        let mut reference = boxed();
+        let direct: Vec<Vec<ProcState>> = (0..300)
+            .map(|_| reference.iter_mut().map(|src| src.next_state()).collect())
             .collect();
-        let mut bank =
+        // Reads the next row of `src` after a one-state prefix, so a
+        // source that clears, overwrites or over-/under-fills `out` fails.
+        let read = |src: &mut dyn RowSource, what: &str, slot: usize| {
+            let mut out = vec![ProcState::Down];
+            src.next_row_into(&mut out);
+            assert_eq!(out.len(), 1 + src.p(), "{what}: slot {slot} row width");
+            assert_eq!(out[1..], direct[slot][..], "{what}: slot {slot}");
+        };
+
+        let bank =
             MarkovSourceBank::try_from_platform(&platform, &seeds).expect("all-Markov platform");
-        assert_eq!(bank.p(), 7);
-        let mut row = Vec::new();
-        for slot in 0..300 {
-            row.clear();
-            bank.next_row_into(&mut row);
-            for (q, src) in boxed.iter_mut().enumerate() {
-                assert_eq!(row[q], src.next_state(), "slot {slot} proc {q}");
+        let correlated = CorrelatedModel::uniform_groups(p, 3, OutageChain::identity())
+            .build(&platform, &seeds)
+            .expect("valid model");
+        let mut live: Vec<(&str, Box<dyn RowSource>)> = vec![
+            ("boxed", Box::new(boxed())),
+            ("dense", Box::new(bank)),
+            ("seeded", seeded_rows(&platform, &seeds)),
+            ("correlated", Box::new(correlated)),
+        ];
+        for (what, src) in &mut live {
+            assert_eq!(src.p(), p, "{what}");
+            for slot in 0..300 {
+                read(src.as_mut(), what, slot);
             }
         }
+
+        let matrix = SharedTraceMatrix::record_rows(seeded_rows(&platform, &seeds));
+        let mut early = matrix.replay();
+        for slot in 0..100 {
+            read(&mut early, "early", slot);
+        }
+        assert_eq!(matrix.recorded_slots(), 100);
+        let mut late = matrix.replay();
+        // `late` reads every step and `early` every other one, so `late`
+        // replays `early`'s rows, overtakes it at slot 200 and extends the
+        // recording, which `early` then replays.
+        let mut early_slot = 100;
+        for slot in 0..300 {
+            read(&mut late, "late", slot);
+            if slot % 2 == 0 {
+                read(&mut early, "early", early_slot);
+                early_slot += 1;
+            }
+        }
+        assert_eq!(matrix.recorded_slots(), 300);
     }
 
     #[test]
@@ -700,10 +795,6 @@ mod tests {
             ncom: 1,
         };
         assert!(MarkovSourceBank::try_from_platform(&platform, &SeedPath::root(1)).is_none());
-        // A rejected rebuild leaves the bank empty, not half-seeded.
-        let mut bank = MarkovSourceBank::default();
-        assert!(!bank.rebuild_from_platform(&platform, &SeedPath::root(1)));
-        assert_eq!(bank.p(), 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use vg_markov::modulator::{ModState, OutageChain};
 
 use crate::config::{ConfigError, PlatformConfig};
 use crate::fault::CompiledScript;
-use crate::source::{AvailabilitySource, MarkovSourceBank, RowSource};
+use crate::source::{seeded_rows, RowSource};
 
 /// Row-level scripted fault injector: forces the scripted states onto each
 /// sampled row and counts how many worker-slots it actually changed.
@@ -210,18 +210,7 @@ impl CorrelatedModel {
     ) -> Result<CorrelatedSource, ConfigError> {
         platform.validate()?;
         self.validate(platform.p())?;
-        let base = match MarkovSourceBank::try_from_platform(platform, trace_seeds) {
-            Some(bank) => BaseBank::Dense(bank),
-            None => BaseBank::Boxed(
-                platform
-                    .processors
-                    .iter()
-                    .enumerate()
-                    .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng()))
-                    // tidy:allow(hot_alloc): one-time construction fallback, not the sampling path.
-                    .collect(),
-            ),
-        };
+        let base = seeded_rows(platform, trace_seeds);
         let group_seeds = trace_seeds.child_str("corr-group");
         let groups = self
             .groups
@@ -244,23 +233,6 @@ impl CorrelatedModel {
     }
 }
 
-/// The per-worker base generator of a [`CorrelatedSource`].
-enum BaseBank {
-    /// All-Markov platform: the dense bank.
-    Dense(MarkovSourceBank),
-    /// Mixed platform: boxed per-worker sources.
-    Boxed(Vec<Box<dyn AvailabilitySource>>),
-}
-
-impl std::fmt::Debug for BaseBank {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Dense(bank) => f.debug_tuple("Dense").field(&bank.p()).finish(),
-            Self::Boxed(srcs) => f.debug_tuple("Boxed").field(&srcs.len()).finish(),
-        }
-    }
-}
-
 /// Live state of one group modulator.
 #[derive(Debug)]
 struct GroupRuntime {
@@ -276,7 +248,8 @@ struct GroupRuntime {
 #[derive(Debug)]
 pub struct CorrelatedSource {
     p: usize,
-    base: BaseBank,
+    /// The per-worker base rows ([`seeded_rows`]).
+    base: Box<dyn RowSource>,
     groups: Vec<GroupRuntime>,
     diurnal: Option<DiurnalSpec>,
     slot: u64,
@@ -297,15 +270,7 @@ impl RowSource for CorrelatedSource {
 
     fn next_row_into(&mut self, out: &mut Vec<ProcState>) {
         let start = out.len();
-        match &mut self.base {
-            BaseBank::Dense(bank) => bank.next_row_into(out),
-            BaseBank::Boxed(srcs) => {
-                out.reserve(srcs.len());
-                for src in srcs.iter_mut() {
-                    out.push(src.next_state());
-                }
-            }
-        }
+        self.base.next_row_into(out);
         let row = &mut out[start..];
         for (g, grp) in self.groups.iter_mut().enumerate() {
             // Current modulator state applies to this slot (groups start
@@ -336,7 +301,7 @@ mod tests {
     use super::*;
     use crate::config::ProcessorConfig;
     use crate::fault::FaultScript;
-    use crate::StartPolicy;
+    use crate::{MarkovSourceBank, StartPolicy};
     use vg_markov::AvailabilityChain;
     use ProcState::{Down as D, Reclaimed as R, Up as U};
 

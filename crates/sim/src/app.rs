@@ -205,31 +205,29 @@ pub struct AppRuntime {
 }
 
 impl AppRuntime {
-    /// Fresh runtime for application `index` of a run.
+    /// Fresh runtime for application `index` of a run: [`Self::reinit`]
+    /// of an empty runtime, so the two init paths cannot drift apart.
     #[must_use]
     pub(crate) fn new(index: usize, spec: &AppSpec, max_extra: u8, max_slots: Slot) -> Self {
-        debug_assert!(index < MAX_APPS);
-        Self {
+        let mut rt = Self {
             config: spec.config,
-            weight: spec.weight,
-            reconfig: spec.reconfig,
-            task_base: (index as u32) << APP_TASK_SHIFT,
-            iter: IterationState::new(0, spec.config.tasks_per_iteration, max_extra),
+            weight: 0,
+            reconfig: ReconfigPolicy::Fixed,
+            task_base: 0,
+            iter: IterationState::default(),
             iterations_done: 0,
-            // Preallocated for every barrier the run can reach so the
-            // per-app completion log never grows inside the steady-state
-            // slot loop (mirrors the engine's combined log).
-            iteration_completed_at: Vec::with_capacity(barrier_capacity(
-                spec.config.iterations,
-                max_slots,
-            )),
+            iteration_completed_at: Vec::new(),
             completed_at: None,
             tasks_completed: 0,
-        }
+        };
+        rt.reinit(index, spec, max_extra, max_slots);
+        rt
     }
 
-    /// Reinitializes a warmed runtime in place for a new run (the arena
-    /// counterpart of [`Self::new`], reusing the allocated buffers).
+    /// Reinitializes a runtime in place for a new run, reusing its
+    /// allocated buffers. The per-app completion log is preallocated for
+    /// every barrier the run can reach so it never grows inside the
+    /// steady-state slot loop (mirrors the engine's combined log).
     pub(crate) fn reinit(&mut self, index: usize, spec: &AppSpec, max_extra: u8, max_slots: Slot) {
         debug_assert!(index < MAX_APPS);
         self.config = spec.config;

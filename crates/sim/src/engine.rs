@@ -101,7 +101,7 @@ use vg_des::{Slot, SlotSpan};
 use vg_markov::availability::{ChainStats, ProcState};
 use vg_platform::fault::CompiledScript;
 use vg_platform::network::{BandwidthLedger, TransferKind};
-use vg_platform::source::{AvailabilitySource, MarkovSourceBank, RowSource, SharedTraceMatrix};
+use vg_platform::source::{seeded_rows, AvailabilitySource, RowSource, SharedTraceMatrix};
 use vg_platform::volatility::ScriptedOverlay;
 use vg_platform::{AppConfig, ConfigError, PlatformConfig, ProcessorId};
 
@@ -422,34 +422,58 @@ struct SlotScratch {
 }
 
 impl SlotScratch {
-    /// Pre-sizes every buffer to its steady-state high-water mark for `p`
-    /// workers and `m` tasks per iteration.
-    fn with_capacity(p: usize, m: usize) -> Self {
-        Self {
-            procs: Vec::with_capacity(p),
-            procs_valid: false,
-            pool: Vec::with_capacity(m),
-            cands: Vec::with_capacity(m),
-            placements: Vec::with_capacity(m.max(p)),
-            pending: Vec::with_capacity(m),
-            free: Vec::with_capacity(p),
-            free_blocks: Vec::with_capacity(p.div_ceil(SUMMARY_BLOCK)),
-            free_total: 0,
-            free_valid: false,
-            replica_pins: Vec::with_capacity(4),
-            room: Vec::with_capacity(p),
-            continuations: Vec::with_capacity(p),
-            requests: Vec::with_capacity(2 * p),
-            prog_requested: Vec::with_capacity(p),
-            data_requested: Vec::with_capacity(p),
-            completions: Vec::with_capacity(p),
-            state_row: Vec::with_capacity(p),
-            copies: Vec::with_capacity(8),
-            activities: Vec::with_capacity(p),
-            weights: Vec::with_capacity(4),
-            quotas: Vec::with_capacity(4),
-        }
+    /// Readies the scratch for a run over `p` workers and `m` tasks per
+    /// iteration: every buffer is presized to its steady-state high-water
+    /// mark (a warmed buffer keeps any larger capacity), and the cached
+    /// snapshot and free mask — which may describe another run's platform —
+    /// are invalidated so the first consult rebuilds them fully.
+    fn prepare(&mut self, p: usize, m: usize) {
+        self.procs_valid = false;
+        self.free_valid = false;
+        reserve_total(&mut self.procs, p);
+        reserve_total(&mut self.pool, m);
+        reserve_total(&mut self.cands, m);
+        reserve_total(&mut self.placements, m.max(p));
+        reserve_total(&mut self.pending, m);
+        reserve_total(&mut self.free, p);
+        reserve_total(&mut self.free_blocks, p.div_ceil(SUMMARY_BLOCK));
+        reserve_total(&mut self.replica_pins, 4);
+        reserve_total(&mut self.room, p);
+        reserve_total(&mut self.continuations, p);
+        reserve_total(&mut self.requests, 2 * p);
+        reserve_total(&mut self.prog_requested, p);
+        reserve_total(&mut self.data_requested, p);
+        reserve_total(&mut self.completions, p);
+        reserve_total(&mut self.state_row, p);
+        reserve_total(&mut self.copies, 8);
+        reserve_total(&mut self.activities, p);
+        reserve_total(&mut self.weights, 4);
+        reserve_total(&mut self.quotas, 4);
     }
+}
+
+/// Grows `v`'s capacity to at least `n` without touching its contents:
+/// exact on an empty (cold) buffer, a no-op on one already warmed past `n`.
+fn reserve_total<T>(v: &mut Vec<T>, n: usize) {
+    v.reserve_exact(n.saturating_sub(v.len()));
+}
+
+/// Every buffer a run owns that can outlive it: the worker store, chain
+/// statistics, per-application runtimes, the combined barrier log, the
+/// bind order, the slot scratch and the timeline marks. The one assembly
+/// function ([`Simulation::assemble`]) takes a set in — empty for a cold
+/// engine, warmed for a [`SimArena`] — and resets and presizes every
+/// buffer the same way for both; the arena takes its set back after the
+/// run.
+#[derive(Default)]
+struct RunBuffers<S> {
+    workers: S,
+    chains: Vec<ChainStats>,
+    apps: Vec<AppRuntime>,
+    iteration_completed_at: Vec<Slot>,
+    bind_order: Vec<(usize, CopyId)>,
+    scratch: SlotScratch,
+    slot_marks: Vec<SlotMarks>,
 }
 
 /// Lean result of an arena run: what a campaign aggregation needs, nothing
@@ -509,45 +533,36 @@ pub struct MultiOutcome {
     pub apps: Vec<AppOutcome>,
 }
 
-/// A **warmed simulation arena**: every per-run buffer of the engine —
-/// worker runtimes (including their `bound` vectors), chain statistics,
-/// the source vector, iteration bookkeeping, the whole `SlotScratch`,
-/// slot marks and the bind-order queue — kept alive across runs so that
-/// back-to-back simulations stop paying the ~25-allocation construction
-/// cost of [`Simulation::new`].
+/// A **warmed simulation arena**: the engine's reusable buffers — worker
+/// runtimes (including their `bound` vectors), chain statistics, iteration
+/// bookkeeping, the whole `SlotScratch`, slot marks and the bind-order
+/// queue — kept alive across runs so that back-to-back simulations stop
+/// paying the ~25-allocation construction cost of [`Simulation::new`].
 ///
 /// Intended use: one arena per worker thread of a campaign fan-out, driven
 /// through [`SimArena::run_shared_trace_overlay`] or
 /// [`SimArena::run_apps_seeded`] for every (heuristic, trial) instance.
-/// Results are bit-identical to the cold [`Simulation`] with the same
-/// inputs — the arena only recycles allocations, never state: every buffer
-/// is reset (not merely reused) before a run, and determinism tests pin the
-/// equivalence.
+/// Each run goes through the same assembly as a cold [`Simulation`]: the
+/// arena lends its warmed buffers, the run is validated before any of them
+/// is taken, and they come back when the run ends — so a rejected run
+/// leaves the arena exactly as warm as before. Results are bit-identical
+/// to the cold [`Simulation`] with the same inputs — the arena only
+/// recycles allocations, never state: every buffer is reset (not merely
+/// reused) before a run, and determinism tests pin the equivalence.
+/// Availability sources are per-run inputs, not buffers: each run gets a
+/// fresh [`RowSource`].
 ///
 /// Timeline recording is not supported here (a timeline's size is the run's
 /// output, not scratch); request it through [`Simulation`] instead.
 #[derive(Default)]
 pub struct SimArena {
-    workers: WorkerSoA,
-    chains: Vec<ChainStats>,
-    sources: Vec<Box<dyn AvailabilitySource>>,
-    /// Warmed dense all-Markov bank (columns keep their capacity across
-    /// runs); re-seeded per run by [`Self::run_seeded`] when the platform
-    /// qualifies.
-    dense: MarkovSourceBank,
-    /// Warmed per-application runtimes (their iteration-state buffers keep
-    /// capacity across runs); re-initialized in place per run.
-    apps: Vec<AppRuntime>,
-    iteration_completed_at: Vec<Slot>,
-    bind_order: Vec<(usize, CopyId)>,
-    scratch: SlotScratch,
-    slot_marks: Vec<SlotMarks>,
+    buffers: RunBuffers<WorkerSoA>,
 }
 
 impl std::fmt::Debug for SimArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimArena")
-            .field("warmed_workers", &self.workers.len())
+            .field("warmed_workers", &self.buffers.workers.len())
             .finish_non_exhaustive()
     }
 }
@@ -561,11 +576,11 @@ impl SimArena {
 
     /// Runs a roster of applications over one platform, reusing this
     /// arena's buffers. Seeds and semantics are exactly
-    /// [`Simulation::run_multi_seeded`]'s: sources are built from
-    /// `trace_seeds.child(q)` per processor, so common-random-number
-    /// comparisons work unchanged. A single application is a one-spec
-    /// roster ([`AppSpec::rigid`]); [`MultiOutcome::combined`] is then its
-    /// outcome.
+    /// [`Simulation::run_multi_seeded`]'s: availability comes from
+    /// [`seeded_rows`] (`trace_seeds.child(q)` per processor), so
+    /// common-random-number comparisons work unchanged. A single
+    /// application is a one-spec roster ([`AppSpec::rigid`]);
+    /// [`MultiOutcome::combined`] is then its outcome.
     ///
     /// # Errors
     /// Propagates validation errors (empty/oversized rosters, per-app
@@ -580,16 +595,10 @@ impl SimArena {
         trace_seeds: vg_des::rng::SeedPath,
         options: SimOptions,
     ) -> Result<MultiOutcome, ConfigError> {
-        platform.validate()?;
-        validate_app_specs(specs)?;
-        reject_arena_timeline(options)?;
-        let bank = if self.prepare_sources(platform, &trace_seeds) {
-            SourceBank::Dense(std::mem::take(&mut self.dense))
-        } else {
-            SourceBank::PerProc(std::mem::take(&mut self.sources))
-        };
-        let combined = self.run_core_with(platform, specs, share, scheduler, bank, None, options);
+        let rows = seeded_rows(platform, &trace_seeds);
+        let combined = self.run(platform, specs, share, scheduler, rows, None, None, options)?;
         let apps = self
+            .buffers
             .apps
             .iter()
             .map(|rt| AppOutcome {
@@ -602,44 +611,15 @@ impl SimArena {
         Ok(MultiOutcome { combined, apps })
     }
 
-    /// Rebuilds per-run sources and chain statistics *into* the warmed
-    /// buffers. All-Markov platforms take the dense bank (bit-identical
-    /// states, no per-processor boxing) and return `true`; the rest rebuild
-    /// boxed sources.
-    fn prepare_sources(
-        &mut self,
-        platform: &PlatformConfig,
-        trace_seeds: &vg_des::rng::SeedPath,
-    ) -> bool {
-        let dense = self.dense.rebuild_from_platform(platform, trace_seeds);
-        self.sources.clear();
-        if !dense {
-            self.sources.extend(
-                platform
-                    .processors
-                    .iter()
-                    .enumerate()
-                    .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng())),
-            );
-        }
-        self.chains.clear();
-        self.chains.extend(
-            platform
-                .processors
-                .iter()
-                .map(|pc| ChainStats::new(pc.believed_chain())),
-        );
-        dense
-    }
-
     /// Runs one application against a [`SharedTraceMatrix`] recording,
     /// with **caller-shared per-scenario** chain statistics (computed once
     /// per platform by [`platform_chain_stats`]; `chains` must follow
-    /// processor order). The engine consumes the recording **row by row** —
-    /// one borrow and `p` byte reads per slot — so the heuristics of an
-    /// instance replay byte-identical availability (common random numbers)
-    /// without per-processor sampling; the result is bit-identical to a
-    /// seeded run over sources with the recording's seeds.
+    /// processor order). The engine consumes the recording **row by row**
+    /// through a [`SharedTraceMatrix::replay`] handle — one borrow and `p`
+    /// byte reads per slot — so the heuristics of an instance replay
+    /// byte-identical availability (common random numbers) without
+    /// per-processor sampling; the result is bit-identical to a seeded run
+    /// over sources with the recording's seeds.
     ///
     /// An optional scripted fault overlay forces states onto each replayed
     /// row *after* it is read, leaving the recording itself untouched, so
@@ -661,114 +641,52 @@ impl SimArena {
         script: Option<&CompiledScript>,
         options: SimOptions,
     ) -> Result<RunOutcome, ConfigError> {
-        platform.validate()?;
-        let specs = [AppSpec::rigid(*app)];
-        validate_app_specs(&specs)?;
-        reject_arena_timeline(options)?;
-        if chains.len() != platform.p() || trace.p() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "{} chain stats / {}-wide trace for {} processors",
-                chains.len(),
-                trace.p(),
-                platform.p()
-            )));
-        }
-        if let Some(s) = script {
-            if s.p() != platform.p() {
-                // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-                return Err(ConfigError(format!(
-                    "fault script compiled for {} workers on a {}-processor platform",
-                    s.p(),
-                    platform.p()
-                )));
-            }
-        }
-        self.chains.clear();
-        self.chains.extend_from_slice(chains);
-        let bank = SourceBank::Shared {
-            trace: trace.handle(),
-            next_slot: 0,
-        };
-        // tidy:allow(hot_alloc): per-run overlay construction, before the first slot.
-        let overlay = script.map(|s| ScriptedOverlay::new(s.clone()));
-        Ok(self.run_core_with(
+        self.run(
             platform,
-            &specs,
+            &[AppSpec::rigid(*app)],
             SharePolicy::default(),
             scheduler,
-            bank,
-            overlay,
+            // tidy:allow(hot_alloc): per-run replay handle, before the first slot.
+            Box::new(trace.replay()),
+            Some(chains),
+            // tidy:allow(hot_alloc): per-run overlay construction, before the first slot.
+            script.map(|s| ScriptedOverlay::new(s.clone())),
             options,
-        ))
+        )
     }
 
-    /// Innermost run loop over an explicit source bank (and optional
-    /// scripted overlay); expects `self.chains` to be populated for
-    /// `platform`.
-    #[allow(clippy::too_many_arguments)] // private tail shared by both entry points
-    fn run_core_with(
+    /// Assembles an engine over the warmed buffers, runs it to its end and
+    /// takes the buffers back.
+    #[allow(clippy::too_many_arguments)] // the assembly's inputs, passed through
+    fn run(
         &mut self,
         platform: &PlatformConfig,
         specs: &[AppSpec],
         share: SharePolicy,
-        mut scheduler: Box<dyn Scheduler>,
-        bank: SourceBank,
+        scheduler: Box<dyn Scheduler>,
+        rows: Box<dyn RowSource>,
+        chains: Option<&[ChainStats]>,
         overlay: Option<ScriptedOverlay>,
         options: SimOptions,
-    ) -> RunOutcome {
-        scheduler.begin_run();
-        let p = platform.p();
-        self.workers
-            .reset_for(platform.processors.iter().map(|pc| pc.spec));
-        // Rebuild the per-app runtimes *into* the warmed vector: existing
-        // entries re-initialize in place (keeping their iteration-state
-        // buffers), extra entries from a previous wider run are dropped.
-        self.apps.truncate(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            if i < self.apps.len() {
-                self.apps[i].reinit(i, spec, options.max_extra_replicas, options.max_slots);
-            } else {
-                self.apps.push(AppRuntime::new(
-                    i,
-                    spec,
-                    options.max_extra_replicas,
-                    options.max_slots,
-                ));
-            }
+    ) -> Result<RunOutcome, ConfigError> {
+        // Arena runs return lean outcomes; a timeline is a run's output,
+        // not scratch, so recording one needs a `Simulation`.
+        if options.record_timeline {
+            return Err(ConfigError(
+                "SimArena does not record timelines; use Simulation".into(),
+            ));
         }
-        self.iteration_completed_at.clear();
-        self.bind_order.clear();
-        self.slot_marks.clear();
-        self.slot_marks.resize(p, SlotMarks::default());
-        // The snapshot and free-mask buffers may hold another run's
-        // platform; the first consult must rebuild them fully.
-        self.scratch.procs_valid = false;
-        self.scratch.free_valid = false;
-
-        let mut sim = Simulation {
-            app: CommParams {
-                t_prog: specs[0].config.t_prog,
-                t_data: specs[0].config.t_data,
-            },
-            apps: std::mem::take(&mut self.apps),
+        let mut sim = Simulation::assemble(
+            platform,
+            specs,
             share,
-            workers: std::mem::take(&mut self.workers),
-            sources: bank,
-            chains: std::mem::take(&mut self.chains),
             scheduler,
-            ledger: BandwidthLedger::new(platform.ncom),
-            options,
-            slot: 0,
-            iteration_completed_at: std::mem::take(&mut self.iteration_completed_at),
-            counters: Counters::default(),
-            bind_order: std::mem::take(&mut self.bind_order),
-            cap_engagements: 0,
+            rows,
+            chains,
             overlay,
-            scratch: std::mem::take(&mut self.scratch),
-            timeline: None,
-            slot_marks: std::mem::take(&mut self.slot_marks),
-        };
+            options,
+            &mut self.buffers,
+        )?;
         while !sim.is_done() {
             sim.step();
         }
@@ -781,21 +699,8 @@ impl SimArena {
             slots_run: sim.slot,
             completed_iterations: sim.apps.iter().map(|a| a.iterations_done()).sum(),
         };
-
-        // Reclaim the warmed buffers for the next run.
-        self.workers = sim.workers;
-        match sim.sources {
-            SourceBank::PerProc(v) => self.sources = v,
-            SourceBank::Dense(b) => self.dense = b,
-            SourceBank::Shared { .. } | SourceBank::Rows(_) => {}
-        }
-        self.chains = sim.chains;
-        self.apps = sim.apps;
-        self.iteration_completed_at = sim.iteration_completed_at;
-        self.bind_order = sim.bind_order;
-        self.scratch = sim.scratch;
-        self.slot_marks = sim.slot_marks;
-        outcome
+        sim.return_buffers(&mut self.buffers);
+        Ok(outcome)
     }
 }
 
@@ -844,15 +749,15 @@ fn validate_app_specs(specs: &[AppSpec]) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Arena runs return lean outcomes; a timeline is a run's output, not
-/// scratch, so recording one needs a [`Simulation`].
-fn reject_arena_timeline(options: SimOptions) -> Result<(), ConfigError> {
-    if options.record_timeline {
-        return Err(ConfigError(
-            "SimArena does not record timelines; use Simulation".into(),
-        ));
+/// Rejects a per-processor run input whose width is not the platform's `p`.
+fn check_width(what: &str, width: usize, p: usize) -> Result<(), ConfigError> {
+    if width == p {
+        return Ok(());
     }
-    Ok(())
+    // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
+    Err(ConfigError(format!(
+        "{what} spans {width} workers on a {p}-processor platform"
+    )))
 }
 
 /// Chain statistics of every processor's believed chain, in processor order
@@ -869,29 +774,6 @@ pub fn platform_chain_stats(platform: &PlatformConfig) -> Vec<ChainStats> {
         .collect() // tidy:allow(hot_alloc): once-per-platform precompute, shared across all runs.
 }
 
-/// Where a run's availability states come from.
-enum SourceBank {
-    /// One live source per processor (the stand-alone path).
-    PerProc(Vec<Box<dyn AvailabilitySource>>),
-    /// A dense all-Markov bank: three contiguous columns advanced in one
-    /// linear sweep — the platform-scale path for seeded runs, bit-identical
-    /// to `PerProc` over `markov_source`s with the same seeds (pinned by
-    /// `dense_markov_bank_matches_boxed_streams` in vg-platform and the
-    /// seeded-vs-explicit-sources determinism test below).
-    Dense(MarkovSourceBank),
-    /// A shared recording, consumed row-by-row: one borrow and `p`
-    /// contiguous byte reads per slot instead of `p` virtual calls — the
-    /// common-random-numbers fast path for campaign instances.
-    Shared {
-        trace: SharedTraceMatrix,
-        next_slot: usize,
-    },
-    /// A live whole-row generator (correlated volatility models): one call
-    /// emits every processor's state for the slot, so cross-worker
-    /// correlation stays expressible without per-processor sources.
-    Rows(Box<dyn RowSource>),
-}
-
 /// The communication parameters every application of a run shares.
 ///
 /// `T_prog`/`T_data` are properties of the platform's links, not of any one
@@ -905,8 +787,14 @@ struct CommParams {
     t_data: SlotSpan,
 }
 
-/// The simulation engine. Construct with [`Simulation::new`], consume with
+/// The simulation engine. Construct with [`Simulation::new`] (one boxed
+/// source per processor), [`Simulation::new_seeded`] /
+/// [`Simulation::new_multi_seeded`] (seeded rows) or
+/// [`Simulation::new_multi_rows_in`] (any [`RowSource`]); consume with
 /// [`Simulation::run`] (or drive slot-by-slot with [`Simulation::step`]).
+/// Every constructor, like every [`SimArena`] run, goes through one private
+/// assembly that validates the run and presizes every buffer, so cold and
+/// warmed engines start from the same state.
 ///
 /// Generic over the worker-storage layout `S` (monomorphized, zero runtime
 /// cost): the default [`WorkerSoA`] is the hot/cold split the production
@@ -928,7 +816,10 @@ pub struct Simulation<S: WorkerStore = WorkerSoA> {
     /// (every policy grants a lone application the whole capacity).
     share: SharePolicy,
     workers: S,
-    sources: SourceBank,
+    /// The run's only availability input: one full state row per slot
+    /// (boxed per-processor sources, the dense Markov bank, a correlated
+    /// model or a shared-recording replay — see [`RowSource`]).
+    sources: Box<dyn RowSource>,
     /// Per-run chain statistics, built once and borrowed by every view.
     chains: Vec<ChainStats>,
     scheduler: Box<dyn Scheduler>,
@@ -962,7 +853,7 @@ pub struct Simulation<S: WorkerStore = WorkerSoA> {
 /// The retained AoS engine: `Simulation` over the original
 /// `Vec<WorkerRuntime>` layout, used as the bit-identity oracle for the SoA
 /// refactor. Construct with [`Simulation::new_seeded`] /
-/// [`Simulation::new_multi_in`].
+/// [`Simulation::new_multi_rows_in`].
 pub type ReferenceSimulation = Simulation<AosWorkers>;
 
 impl Simulation {
@@ -979,12 +870,13 @@ impl Simulation {
         sources: Vec<Box<dyn AvailabilitySource>>,
         options: SimOptions,
     ) -> Result<Self, ConfigError> {
-        Self::new_multi_in(
+        Self::new_multi_rows_in(
             platform,
             &[AppSpec::rigid(*app)],
             SharePolicy::default(),
             scheduler,
-            sources,
+            // tidy:allow(hot_alloc): engine construction, before the first slot.
+            Box::new(sources),
             options,
         )
     }
@@ -1020,42 +912,15 @@ impl Simulation {
 
 impl<S: WorkerStore> Simulation<S> {
     /// Builds an engine co-scheduling a roster of applications over an
-    /// explicit worker-storage layout `S`, with one caller-built
-    /// availability source per processor. The applications run
-    /// concurrently on the shared platform, splitting each slot's bindable
-    /// capacity under `share`; a single application is a one-spec roster
+    /// explicit worker-storage layout `S`, drawing availability from `rows`
+    /// — any [`RowSource`]: boxed per-processor sources
+    /// (`Box::new(sources)`), the dense bank, or a whole-row generator
+    /// such as [`vg_platform::volatility::CorrelatedSource`], which is how
+    /// cross-worker correlation enters the engine without touching
+    /// per-worker seed streams. The applications run concurrently on the
+    /// shared platform, splitting each slot's bindable capacity under
+    /// `share`; a single application is a one-spec roster
     /// ([`AppSpec::rigid`]).
-    pub fn new_multi_in(
-        platform: &PlatformConfig,
-        specs: &[AppSpec],
-        share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        sources: Vec<Box<dyn AvailabilitySource>>,
-        options: SimOptions,
-    ) -> Result<Self, ConfigError> {
-        platform.validate()?;
-        if sources.len() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "{} sources for {} processors",
-                sources.len(),
-                platform.p()
-            )));
-        }
-        Self::new_with_bank(
-            platform,
-            specs,
-            share,
-            scheduler,
-            SourceBank::PerProc(sources),
-            options,
-        )
-    }
-
-    /// Builds a roster engine over a whole-row generator (e.g.
-    /// [`vg_platform::volatility::CorrelatedSource`]): the bank draws one
-    /// full state row per slot, which is how cross-worker correlation enters
-    /// the engine without touching per-worker seed streams.
     pub fn new_multi_rows_in(
         platform: &PlatformConfig,
         specs: &[AppSpec],
@@ -1064,22 +929,16 @@ impl<S: WorkerStore> Simulation<S> {
         rows: Box<dyn RowSource>,
         options: SimOptions,
     ) -> Result<Self, ConfigError> {
-        platform.validate()?;
-        if rows.p() != platform.p() {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "row source spans {} workers on a {}-processor platform",
-                rows.p(),
-                platform.p()
-            )));
-        }
-        Self::new_with_bank(
+        Self::assemble(
             platform,
             specs,
             share,
             scheduler,
-            SourceBank::Rows(rows),
+            rows,
+            None,
+            None,
             options,
+            &mut RunBuffers::default(),
         )
     }
 
@@ -1088,26 +947,19 @@ impl<S: WorkerStore> Simulation<S> {
     /// A passthrough script (no events) leaves every row byte-identical to
     /// the un-overlaid run.
     pub fn set_overlay(&mut self, overlay: ScriptedOverlay) -> Result<(), ConfigError> {
-        let p = self.chains.len();
-        if overlay.p() != p {
-            // tidy:allow(hot_alloc): config-validation error path, taken before any slot runs.
-            return Err(ConfigError(format!(
-                "fault script compiled for {} workers on a {p}-processor platform",
-                overlay.p()
-            )));
-        }
+        check_width("fault script", overlay.p(), self.chains.len())?;
         self.overlay = Some(overlay);
         Ok(())
     }
 
-    /// Seed-path constructor: builds the best available source bank for
-    /// `platform` (`trace_seeds.child(q)` per processor, the
+    /// Seed-path constructor: draws availability from [`seeded_rows`]
+    /// (`trace_seeds.child(q)` per processor, the
     /// [`Simulation::run_seeded`] seed layout) and returns the engine
     /// without running it. All-Markov platforms — the paper's setting — get
-    /// the dense [`MarkovSourceBank`] (three contiguous columns, no
-    /// per-processor virtual calls); anything else falls back to boxed
-    /// sources. Both banks emit bit-identical state streams, so which one
-    /// is chosen is unobservable in the results.
+    /// the dense Markov bank (three contiguous columns, no per-processor
+    /// virtual calls); anything else gets boxed sources. Both emit
+    /// bit-identical state streams, so which one is chosen is unobservable
+    /// in the results.
     pub fn new_seeded(
         platform: &PlatformConfig,
         app: &AppConfig,
@@ -1126,7 +978,7 @@ impl<S: WorkerStore> Simulation<S> {
     }
 
     /// Seed-path constructor for a co-scheduled roster (see
-    /// [`Self::new_seeded`] for the bank selection rules).
+    /// [`Self::new_seeded`]).
     pub fn new_multi_seeded(
         platform: &PlatformConfig,
         specs: &[AppSpec],
@@ -1135,82 +987,111 @@ impl<S: WorkerStore> Simulation<S> {
         trace_seeds: vg_des::rng::SeedPath,
         options: SimOptions,
     ) -> Result<Self, ConfigError> {
-        match MarkovSourceBank::try_from_platform(platform, &trace_seeds) {
-            Some(bank) => Self::new_with_bank(
-                platform,
-                specs,
-                share,
-                scheduler,
-                SourceBank::Dense(bank),
-                options,
-            ),
-            None => {
-                let sources: Vec<Box<dyn AvailabilitySource>> = platform
-                    .processors
-                    .iter()
-                    .enumerate()
-                    .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng()))
-                    .collect(); // tidy:allow(hot_alloc): per-run source construction, before the first slot.
-                Self::new_multi_in(platform, specs, share, scheduler, sources, options)
-            }
-        }
+        let rows = seeded_rows(platform, &trace_seeds);
+        Self::new_multi_rows_in(platform, specs, share, scheduler, rows, options)
     }
 
-    /// Innermost constructor over an explicit source bank.
-    fn new_with_bank(
+    /// The one place a `Simulation` is put together. Validates the run —
+    /// platform, roster, row width, chain width, overlay width — before any
+    /// buffer leaves `buffers`, so a rejected run leaves a warmed set
+    /// intact; then resets and presizes every buffer for the run, the same
+    /// way for an empty (cold) set and a warmed one. `chains: None`
+    /// computes the chain statistics from the platform's believed chains.
+    #[allow(clippy::too_many_arguments)] // one run's full input, plus the buffers it runs in
+    fn assemble(
         platform: &PlatformConfig,
         specs: &[AppSpec],
         share: SharePolicy,
-        scheduler: Box<dyn Scheduler>,
-        bank: SourceBank,
+        mut scheduler: Box<dyn Scheduler>,
+        rows: Box<dyn RowSource>,
+        chains: Option<&[ChainStats]>,
+        overlay: Option<ScriptedOverlay>,
         options: SimOptions,
+        buffers: &mut RunBuffers<S>,
     ) -> Result<Self, ConfigError> {
         platform.validate()?;
         validate_app_specs(specs)?;
-        let mut scheduler = scheduler;
+        let p = platform.p();
+        check_width("row source", rows.p(), p)?;
+        if let Some(chains) = chains {
+            check_width("chain statistics", chains.len(), p)?;
+        }
+        if let Some(overlay) = &overlay {
+            check_width("fault script", overlay.p(), p)?;
+        }
+
         scheduler.begin_run();
-        let mut workers = S::default();
-        workers.reset_for(platform.processors.iter().map(|pc| pc.spec));
-        let chains: Vec<ChainStats> = platform
-            .processors
-            .iter()
-            .map(|pc| ChainStats::new(pc.believed_chain()))
-            .collect(); // tidy:allow(hot_alloc): engine construction, before the first slot.
-        let apps: Vec<AppRuntime> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                AppRuntime::new(i, spec, options.max_extra_replicas, options.max_slots)
-            })
-            .collect(); // tidy:allow(hot_alloc): engine construction, before the first slot.
-        let total_m: usize = specs.iter().map(|s| s.config.tasks_per_iteration).sum();
+        let b = buffers;
+        b.workers
+            .reset_for(platform.processors.iter().map(|pc| pc.spec));
+        b.chains.clear();
+        match chains {
+            Some(shared) => b.chains.extend_from_slice(shared),
+            None => b.chains.extend(
+                platform
+                    .processors
+                    .iter()
+                    .map(|pc| ChainStats::new(pc.believed_chain())),
+            ),
+        }
+        // Rebuild the per-app runtimes *into* the vector: warmed entries
+        // re-initialize in place (keeping their iteration-state buffers),
+        // extra entries from a previous wider run are dropped.
+        b.apps.truncate(specs.len());
+        for (i, spec) in specs.iter().enumerate() {
+            let (extra, cap) = (options.max_extra_replicas, options.max_slots);
+            match b.apps.get_mut(i) {
+                Some(rt) => rt.reinit(i, spec, extra, cap),
+                None => b.apps.push(AppRuntime::new(i, spec, extra, cap)),
+            }
+        }
         let barriers = specs
             .iter()
             .map(|s| barrier_capacity(s.config.iterations, options.max_slots))
             .fold(0, usize::saturating_add);
+        b.iteration_completed_at.clear();
+        reserve_total(&mut b.iteration_completed_at, barriers);
+        b.bind_order.clear();
+        reserve_total(&mut b.bind_order, p);
+        let total_m = specs.iter().map(|s| s.config.tasks_per_iteration).sum();
+        b.scratch.prepare(p, total_m);
+        b.slot_marks.clear();
+        b.slot_marks.resize(p, SlotMarks::default());
+
         Ok(Self {
             app: CommParams {
                 t_prog: specs[0].config.t_prog,
                 t_data: specs[0].config.t_data,
             },
-            apps,
+            apps: std::mem::take(&mut b.apps),
             share,
-            workers,
-            sources: bank,
-            chains,
+            workers: std::mem::take(&mut b.workers),
+            sources: rows,
+            chains: std::mem::take(&mut b.chains),
             scheduler,
             ledger: BandwidthLedger::new(platform.ncom),
             options,
             slot: 0,
-            iteration_completed_at: Vec::with_capacity(barriers),
+            iteration_completed_at: std::mem::take(&mut b.iteration_completed_at),
             counters: Counters::default(),
-            bind_order: Vec::with_capacity(platform.p()),
+            bind_order: std::mem::take(&mut b.bind_order),
             cap_engagements: 0,
-            overlay: None,
-            scratch: SlotScratch::with_capacity(platform.p(), total_m),
-            timeline: options.record_timeline.then(|| Timeline::new(platform.p())),
-            slot_marks: vec![SlotMarks::default(); platform.p()], // tidy:allow(hot_alloc): engine construction, before the first slot.
+            overlay,
+            scratch: std::mem::take(&mut b.scratch),
+            timeline: options.record_timeline.then(|| Timeline::new(p)),
+            slot_marks: std::mem::take(&mut b.slot_marks),
         })
+    }
+
+    /// Hands the run's reusable buffers back to the arena that lent them.
+    fn return_buffers(self, b: &mut RunBuffers<S>) {
+        b.workers = self.workers;
+        b.chains = self.chains;
+        b.apps = self.apps;
+        b.iteration_completed_at = self.iteration_completed_at;
+        b.bind_order = self.bind_order;
+        b.scratch = self.scratch;
+        b.slot_marks = self.slot_marks;
     }
 
     /// Runs to completion (all iterations done or slot cap hit).
@@ -1356,17 +1237,7 @@ impl<S: WorkerStore> Simulation<S> {
             state_row, copies, ..
         } = scratch;
         state_row.clear();
-        match sources {
-            SourceBank::PerProc(v) => {
-                state_row.extend(v.iter_mut().map(|src| src.next_state()));
-            }
-            SourceBank::Dense(bank) => bank.next_row_into(state_row),
-            SourceBank::Shared { trace, next_slot } => {
-                trace.with_row(*next_slot, |row| state_row.extend_from_slice(row));
-                *next_slot += 1;
-            }
-            SourceBank::Rows(rows) => rows.next_row_into(state_row),
-        }
+        sources.next_row_into(state_row);
         // Scripted chaos hook: force states *after* sampling so the base RNG
         // schedule is untouched; only actual flips count as injections. Kept
         // out of line so un-scripted runs pay one never-taken branch here.
@@ -2537,7 +2408,9 @@ mod tests {
     use vg_des::rng::SeedPath;
     use vg_des::SlotSpan;
     use vg_platform::source::{StartPolicy, TailBehavior};
-    use vg_platform::{AvailabilityModelConfig, ProcessorConfig, ProcessorSpec, Trace};
+    use vg_platform::{
+        AvailabilityModelConfig, FaultScript, ProcessorConfig, ProcessorSpec, Trace,
+    };
 
     fn always_up(p: usize, w: SlotSpan, ncom: usize) -> PlatformConfig {
         PlatformConfig {
@@ -3025,8 +2898,8 @@ mod tests {
             .unwrap()
             .run();
             assert_eq!(seeded, boxed, "replication={replication}");
-            // The arena path reuses one warmed bank across runs; it must
-            // agree too.
+            // The arena path draws from the same seeded rows over warmed
+            // buffers; it must agree too.
             let arena = arena_run(
                 &mut SimArena::new(),
                 &platform,
@@ -3135,7 +3008,10 @@ mod tests {
     fn arena_run_is_bit_identical_to_cold_engine() {
         // One arena reused across different platform sizes, task counts,
         // heuristics and replication settings — buffers grow AND shrink —
-        // must reproduce the cold path exactly, run after run.
+        // must reproduce the cold path exactly, run after run. Between
+        // rounds the arena first rejects three invalid runs; validation
+        // happens before any warmed buffer leaves the arena, so the next
+        // valid run must still match the cold engine.
         let mut arena = SimArena::new();
         let plans: &[(usize, usize, bool)] = &[
             (8, 12, true),
@@ -3158,6 +3034,54 @@ mod tests {
                 record_timeline: false,
                 placement_budget: PlacementBudget::Uncapped,
             };
+            if round > 0 {
+                let sched = || HeuristicKind::Mct.build(SeedPath::root(1).rng());
+                let chains = platform_chain_stats(&platform);
+                let trace =
+                    SharedTraceMatrix::record_rows(seeded_rows(&platform, &SeedPath::root(3)));
+                let script = FaultScript::parse("kill 1 at 0")
+                    .and_then(|s| s.compile(p + 1))
+                    .unwrap();
+                let warmed = format!("{arena:?}");
+                let rejected = [
+                    arena.run_shared_trace_overlay(
+                        &platform,
+                        &app,
+                        sched(),
+                        &chains[1..],
+                        &trace,
+                        None,
+                        options,
+                    ),
+                    arena.run_shared_trace_overlay(
+                        &platform,
+                        &app,
+                        sched(),
+                        &chains,
+                        &trace,
+                        Some(&script),
+                        options,
+                    ),
+                    arena
+                        .run_apps_seeded(
+                            &platform,
+                            &[AppSpec::rigid(app), AppSpec::weighted(app, 0)],
+                            SharePolicy::Weighted,
+                            sched(),
+                            SeedPath::root(3),
+                            options,
+                        )
+                        .map(|o| o.combined),
+                ];
+                for (i, run) in rejected.into_iter().enumerate() {
+                    assert!(run.is_err(), "round {round}: invalid run {i} accepted");
+                }
+                assert_eq!(
+                    format!("{arena:?}"),
+                    warmed,
+                    "round {round}: a rejected run took the warmed buffers"
+                );
+            }
             for kind in [HeuristicKind::EmctStar, HeuristicKind::Random2w] {
                 let seed = (round * 10 + p) as u64;
                 let warm = arena_run(

@@ -15,7 +15,11 @@
 //! * [`store`] — worker storage layouts: the hot/cold [`store::WorkerSoA`]
 //!   the engine runs on and the retained [`store::AosWorkers`] oracle;
 //! * [`engine`] — the seven-phase slot loop ([`engine::Simulation`], generic
-//!   over the layout) and the warmed arena ([`engine::SimArena`]);
+//!   over the layout) and the warmed arena ([`engine::SimArena`]). Every
+//!   engine draws its availability from one [`vg_platform::RowSource`] —
+//!   boxed per-processor sources, the dense Markov bank, a correlated
+//!   model or a shared-recording replay — and every engine, cold or in an
+//!   arena, is assembled by the same private function;
 //! * [`report`] — makespans and counters ([`report::SimReport`]).
 //!
 //! ## Warmed arenas for campaign-scale fan-out
@@ -24,7 +28,11 @@
 //! [`Simulation`] from scratch pays ~25 allocations
 //! (worker runtimes, chain statistics, the whole slot scratch) before the
 //! first slot executes. A [`SimArena`] keeps all of those
-//! buffers warm across runs — one arena per worker thread — and
+//! buffers warm across runs — one arena per worker thread. Each run hands
+//! them to the same assembly a cold engine goes through, which validates
+//! the run before taking any buffer and presizes them exactly as it does
+//! for a cold engine; the arena takes them back when the run ends, so a
+//! rejected run leaves it as warm as before.
 //! [`SimArena::run_apps_seeded`](engine::SimArena::run_apps_seeded) returns
 //! lean outcomes (a [`RunOutcome`] plus one [`AppOutcome`] per application,
 //! no strings) whose results are **bit-identical** to

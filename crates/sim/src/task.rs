@@ -78,8 +78,9 @@ pub enum OriginalState {
 /// Empty slot sentinel in [`IterationState::pinned_replica_workers`] rows.
 pub const NO_REPLICA_WORKER: u32 = u32::MAX;
 
-/// Live state of one application iteration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Live state of one application iteration. The default is an empty shell
+/// with no tasks, made live by [`IterationState::reinit`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IterationState {
     m: usize,
     index: u64,
@@ -113,19 +114,7 @@ impl IterationState {
     /// assert `reinit` against an independently constructed oracle).
     #[must_use]
     pub fn new(index: u64, m: usize, max_extra: u8) -> Self {
-        let mut it = Self {
-            m: 0,
-            index: 0,
-            completed: Vec::new(),
-            n_completed: 0,
-            original: Vec::new(),
-            n_pool: 0,
-            replicas_alive: Vec::new(),
-            next_replica: Vec::new(),
-            max_extra: 0,
-            replica_workers: Vec::new(),
-            completed_at: None,
-        };
+        let mut it = Self::default();
         it.reinit(index, m, max_extra);
         it
     }

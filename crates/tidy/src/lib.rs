@@ -78,6 +78,9 @@ pub struct WorkspaceReport {
     pub findings: Vec<Finding>,
     /// Panic-surface counts per crate directory (library code only).
     pub panic_counts: BTreeMap<String, u64>,
+    /// Code lines per crate directory: non-test library code, blank and
+    /// comment lines excluded (see [`rules::FileReport::code_lines`]).
+    pub code_lines: BTreeMap<String, u64>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
@@ -169,6 +172,9 @@ pub fn run_workspace(
         let src = fs::read_to_string(&path).map_err(|e| TidyError::Io(path.clone(), e))?;
         let file_report = check_file(&meta, &src, config);
         report.findings.extend(file_report.findings);
+        if meta.is_lib {
+            *report.code_lines.entry(meta.crate_dir.clone()).or_default() += file_report.code_lines;
+        }
         if meta.is_lib && !file_report.panic_sites.is_empty() {
             let bucket = panic_sites.entry(meta.crate_dir.clone()).or_default();
             for line in file_report.panic_sites {

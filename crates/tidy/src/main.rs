@@ -106,20 +106,20 @@ fn finish(report: vg_tidy::WorkspaceReport) -> ExitCode {
     for f in &report.findings {
         println!("{f}");
     }
-    let surface: Vec<String> = report
-        .panic_counts
-        .iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
-    println!(
-        "vg-tidy: {} file(s) scanned, {} finding(s); panic surface: {}",
-        report.files_scanned,
-        report.findings.len(),
-        if surface.is_empty() {
+    let per_crate = |counts: &std::collections::BTreeMap<String, u64>| {
+        let listed: Vec<String> = counts.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        if listed.is_empty() {
             "none".to_string()
         } else {
-            surface.join(" ")
+            listed.join(" ")
         }
+    };
+    println!(
+        "vg-tidy: {} file(s) scanned, {} finding(s); panic surface: {}; library code lines: {}",
+        report.files_scanned,
+        report.findings.len(),
+        per_crate(&report.panic_counts),
+        per_crate(&report.code_lines)
     );
     if report.is_clean() {
         ExitCode::SUCCESS

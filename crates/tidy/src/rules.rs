@@ -78,6 +78,10 @@ pub struct FileReport {
     /// Lines of `unwrap`/`expect`/panic-macro sites in non-test library
     /// code, for the ratchet tally.
     pub panic_sites: Vec<u32>,
+    /// Distinct lines on which a non-test, non-comment token starts: the
+    /// file's code size, blank and comment lines excluded. Counted for
+    /// every file; the walker sums it over library code.
+    pub code_lines: u64,
 }
 
 struct Waiver {
@@ -116,6 +120,7 @@ pub fn check_file(meta: &FileMeta, src: &str, config: &Config) -> FileReport {
     check.rule_hot_alloc(config);
     check.rule_unsafe_safety();
     check.count_panic_sites();
+    check.count_code_lines();
     check.flag_unused_waivers();
 
     let mut report = check.report;
@@ -525,6 +530,17 @@ impl FileCheck<'_> {
                     }
                 }
                 _ => {}
+            }
+        }
+    }
+
+    fn count_code_lines(&mut self) {
+        let mut last = 0;
+        for k in 0..self.sig.len() {
+            let line = self.tok(k).line;
+            if !self.in_test[k] && line != last {
+                self.report.code_lines += 1;
+                last = line;
             }
         }
     }

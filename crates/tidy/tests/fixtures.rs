@@ -2,10 +2,10 @@
 //! fixture says it should, and nowhere else.
 
 use vg_tidy::config::Config;
-use vg_tidy::rules::{check_file, FileMeta, Finding};
+use vg_tidy::rules::{check_file, FileMeta, FileReport, Finding};
 
 /// Loads a fixture and checks it as if it were library code at `rel`.
-fn run(fixture: &str, rel: &str, config: &Config) -> Vec<Finding> {
+fn check(fixture: &str, rel: &str, config: &Config) -> FileReport {
     let path = format!("{}/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let meta = FileMeta {
@@ -13,7 +13,12 @@ fn run(fixture: &str, rel: &str, config: &Config) -> Vec<Finding> {
         crate_dir: rel.split('/').take(2).collect::<Vec<_>>().join("/"),
         is_lib: true,
     };
-    check_file(&meta, &src, config).findings
+    check_file(&meta, &src, config)
+}
+
+/// The findings of [`check`].
+fn run(fixture: &str, rel: &str, config: &Config) -> Vec<Finding> {
+    check(fixture, rel, config).findings
 }
 
 fn config() -> Config {
@@ -107,4 +112,11 @@ fn waiver_hygiene_is_enforced() {
         fired(&f),
         vec![("waiver", 4), ("waiver", 7), ("waiver", 10)]
     );
+}
+
+#[test]
+fn code_lines_skip_blanks_comments_and_test_regions() {
+    let report = check("code_lines.rs", "crates/fake/src/lib.rs", &config());
+    assert_eq!(fired(&report.findings), vec![]);
+    assert_eq!(report.code_lines, 4);
 }
