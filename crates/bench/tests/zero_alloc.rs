@@ -60,7 +60,7 @@ fn warmed_simulation(p: usize, replication: bool, placement_budget: PlacementBud
 
 /// The full chaos stack in steady state: a [`CorrelatedModel`] row source
 /// (per-worker base chains × 4 group modulators × diurnal phase) feeding the
-/// engine as its row source, with a scripted overlay whose spans
+/// engine directly, with a scripted overlay whose spans
 /// stay **active across the entire measured window** — every measured slot
 /// pays the row fill, the group draws, the diurnal demotion and the overlay
 /// forcing. All of it must be exactly as silent as the plain slot loop.
