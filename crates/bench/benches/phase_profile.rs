@@ -6,7 +6,7 @@
 //! Backs the ROADMAP's per-phase cost-split claims (which phase is the next
 //! lever) with a reproducible measurement instead of ad-hoc instrumentation,
 //! including the schedule phase's sub-split (snapshot consult / pool
-//! placement / free-mask + candidates / replica placement). Besides the
+//! placement / candidates + free count + mask / replica placement). Besides the
 //! human-readable lines it emits a machine-readable JSON artifact
 //! (`target/BENCH_phase_profile.json`, override with
 //! `BENCH_PHASE_PROFILE_OUT`) that CI uploads next to `BENCH_slotloop.json`
@@ -46,6 +46,10 @@ fn main() {
         // selector live or die.
         (16_384, PlacementBudget::Uncapped),
         (16_384, PlacementBudget::BindCapacity),
+        // The benchmark's `platform_scale_64k` regime: dense-bank
+        // sampling, the newly-DOWN crash pass and the busy-bitmap replica
+        // mask carry the slot.
+        (65_536, PlacementBudget::Uncapped),
     ];
     for (p, placement) in grid {
         let capped = placement == PlacementBudget::BindCapacity;

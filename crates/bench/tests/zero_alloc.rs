@@ -155,11 +155,15 @@ fn steady_state_slot_loop_is_allocation_free() {
     // compaction — run on most measured slots and must be exactly as
     // silent as the uncapped path (the `pending` buffer lives in the
     // persistent SlotScratch, warmed like every other column).
+    // p = 16384 with replication is the platform-scale regime, where the
+    // store's newly-DOWN list and the snapshot's masked-worker list grow
+    // longest: both are presized to p, so they must stay silent too.
     for (p, replication, budget) in [
         (64, false, PlacementBudget::Uncapped),
         (64, true, PlacementBudget::Uncapped),
         (256, true, PlacementBudget::Uncapped),
         (256, true, PlacementBudget::BindCapacity),
+        (16_384, true, PlacementBudget::Uncapped),
     ] {
         let mut sim = warmed_simulation(p, replication, budget);
         // Warm-up: scratch buffers, worker bound-lists and scheduler

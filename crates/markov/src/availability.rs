@@ -449,18 +449,40 @@ impl AvailabilityChain {
     }
 
     /// Samples the next state.
+    #[inline]
     #[must_use]
     pub fn sample_next(&self, from: ProcState, rng: &mut StreamRng) -> ProcState {
-        let row = &self.p[from.index()];
-        let mut u = rng.f64();
-        for (j, &p) in row.iter().enumerate() {
-            if u < p {
-                return ProcState::from_index(j);
-            }
-            u -= p;
-        }
-        // Round-off slack.
-        ProcState::from_index(row.iter().rposition(|&p| p > 0.0).unwrap_or(0))
+        ProcState::ALL[row_pick(&self.p[from.index()], rng.f64())]
+    }
+}
+
+/// Inverse-CDF pick of one transition row at uniform `u`: the first `j`
+/// with `u − (p₀ + … + p_{j−1}) < p_j`, subtracting in row order, or — when
+/// the row's float sum falls short of `u` — the last state with `p > 0`
+/// (round-off slack).
+///
+/// Every comparison is evaluated and the first hit is counted rather than
+/// branched to: a per-worker early exit on the sampled state is a
+/// data-dependent branch the predictor misses on every transition, which
+/// at platform scale cost more than the RNG step itself. The arithmetic is
+/// the sequential subtract-and-compare of the loop form, operation for
+/// operation, so the pick is bit-identical to it (a test keeps the loop as
+/// the oracle).
+#[inline]
+fn row_pick(row: &[f64; 3], u: f64) -> usize {
+    let [p0, p1, p2] = *row;
+    let c0 = u < p0;
+    let u1 = u - p0;
+    let c1 = u1 < p1;
+    let u2 = u1 - p1;
+    let c2 = u2 < p2;
+    // Leading misses: the first hit's index, or 3 when nothing hit.
+    let misses = usize::from(!c0) + usize::from(!c0 & !c1) + usize::from(!c0 & !c1 & !c2);
+    let slack = if p2 > 0.0 { 2 } else { usize::from(p1 > 0.0) };
+    if misses < 3 {
+        misses
+    } else {
+        slack
     }
 }
 
@@ -1201,6 +1223,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The loop form of [`row_pick`]: the reference its branch-free body
+    /// must reproduce bit for bit.
+    fn row_pick_loop(row: &[f64; 3], mut u: f64) -> usize {
+        for (j, &p) in row.iter().enumerate() {
+            if u < p {
+                return j;
+            }
+            u -= p;
+        }
+        row.iter().rposition(|&p| p > 0.0).unwrap_or(0)
+    }
+
+    #[test]
+    fn branch_free_pick_matches_the_loop_oracle() {
+        let mut rng = SeedPath::root(99).rng();
+        let mut rows: Vec<[f64; 3]> = Vec::new();
+        // Paper-style rows.
+        for _ in 0..200 {
+            rows.extend(AvailabilityChain::sample_paper(&mut rng, 0.90, 0.99).raw());
+        }
+        // Zero entries in every position, and all-zero tails.
+        rows.extend([
+            [0.0, 0.3, 0.7],
+            [0.3, 0.0, 0.7],
+            [0.3, 0.7, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0],
+        ]);
+        // Rows whose float sum falls short of 1, so `u` near 1 lands in the
+        // round-off fallback.
+        rows.extend([
+            [0.1, 0.2, 0.7 - 1e-12],
+            [0.5, 0.5 - 1e-12, 0.0],
+            [1.0 - 1e-12, 0.0, 0.0],
+            [0.3, 0.0, 0.7 - 1e-12],
+        ]);
+        let mut hit_slack = false;
+        for row in &rows {
+            let mut us: Vec<f64> = (0..64).map(|_| rng.f64()).collect();
+            us.extend([0.0, 1.0 - f64::EPSILON / 2.0]);
+            // Each cumulative boundary of the sequential subtraction, and
+            // one ulp on either side of it.
+            let mut acc = 0.0;
+            for &p in row {
+                acc += p;
+                us.extend([acc.next_down(), acc, acc.next_up()]);
+            }
+            for u in us {
+                if !(0.0..1.0).contains(&u) {
+                    continue;
+                }
+                let want = row_pick_loop(row, u);
+                assert_eq!(row_pick(row, u), want, "row {row:?} at u = {u:e}");
+                hit_slack |= u >= row[0] + row[1] + row[2];
+            }
+        }
+        assert!(hit_slack, "no case exercised the round-off fallback");
     }
 
     #[test]

@@ -86,13 +86,16 @@ impl RowSource for MarkovSourceBank {
 #[must_use]
 pub fn seeded_rows(platform: &PlatformConfig, trace_seeds: &SeedPath) -> Box<dyn RowSource> {
     match MarkovSourceBank::try_from_platform(platform, trace_seeds) {
+        // tidy:allow(hot_alloc): source construction, once per run before any slot.
         Some(bank) => Box::new(bank),
+        // tidy:allow(hot_alloc): source construction, once per run before any slot.
         None => Box::new(
             platform
                 .processors
                 .iter()
                 .enumerate()
                 .map(|(q, pc)| pc.avail.build_source(trace_seeds.child(q as u64).rng()))
+                // tidy:allow(hot_alloc): source construction, once per run before any slot.
                 .collect::<Vec<_>>(),
         ),
     }
@@ -136,6 +139,7 @@ impl ReplaySource {
     /// state stream: an empty trace cannot be held or cycled.
     pub fn try_new(trace: Trace, tail: TailBehavior) -> Result<Self, ConfigError> {
         if trace.is_empty() && matches!(tail, TailBehavior::HoldLast | TailBehavior::Cycle) {
+            // tidy:allow(hot_alloc): configuration error path, taken before any slot runs.
             return Err(ConfigError(format!(
                 "cannot hold/cycle an empty trace (tail = {tail:?})"
             )));
@@ -246,6 +250,7 @@ impl SharedTraceMatrix {
     /// that case as an error.
     #[must_use]
     pub fn record(sources: Vec<Box<dyn AvailabilitySource>>) -> Self {
+        // tidy:allow(hot_alloc): recorder construction, once per trace before any slot.
         Self::record_rows(Box::new(sources))
     }
 
@@ -426,6 +431,7 @@ impl MarkovSourceBank {
             let ci = match bank.chains.iter().take(64).position(|c| c == chain) {
                 Some(i) => i,
                 None => {
+                    // tidy:allow(hot_alloc): bank construction: one entry per distinct chain, before any slot.
                     bank.chains.push(chain.clone());
                     bank.chains.len() - 1
                 }
@@ -449,15 +455,18 @@ impl MarkovSourceBank {
     /// `out` and advances all streams — the dense equivalent of calling
     /// `next_state()` on `p` boxed sources.
     pub fn next_row_into(&mut self, out: &mut Vec<ProcState>) {
-        out.reserve(self.states.len());
-        for ((state, &ci), rng) in self
-            .states
+        // Size the row once and write through the slice: a per-worker
+        // `push` re-checks capacity inside the sweep.
+        let start = out.len();
+        out.resize(start + self.states.len(), ProcState::Up);
+        for (((slot, state), &ci), rng) in out[start..]
             .iter_mut()
+            .zip(self.states.iter_mut())
             .zip(self.chain_idx.iter())
             .zip(self.rngs.iter_mut())
         {
             let cur = *state;
-            out.push(cur);
+            *slot = cur;
             *state = self.chains[ci as usize].sample_next(cur, rng);
         }
     }
@@ -481,7 +490,9 @@ pub fn markov_source(
     rng: StreamRng,
 ) -> Box<dyn AvailabilitySource> {
     match start {
+        // tidy:allow(hot_alloc): source construction, once per processor before any slot.
         StartPolicy::Up => Box::new(AvailabilityStream::new(chain, ProcState::Up, rng)),
+        // tidy:allow(hot_alloc): source construction, once per processor before any slot.
         StartPolicy::Stationary => Box::new(AvailabilityStream::stationary_start(chain, rng)),
     }
 }
@@ -501,6 +512,7 @@ pub fn semi_markov_source(
             ProcState::from_index(rng.weighted_index(&occ).unwrap_or(0))
         }
     };
+    // tidy:allow(hot_alloc): source construction, once per processor before any slot.
     Box::new(SemiMarkovStream::new(model, state, rng))
 }
 

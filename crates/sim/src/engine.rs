@@ -63,7 +63,7 @@
 //! [`ReferenceSimulation`] retains the original `Vec<WorkerRuntime>` path.
 //! Every phase above is written as index loops over the store, so with the
 //! SoA each pass walks dense columns (1-byte states, the `occupancy` byte
-//! for the free-mask and unbind early-outs) instead of dragging each
+//! for the unbind early-outs) instead of dragging each
 //! worker's cold fields through the cache. The
 //! `crates/sim/tests/soa_equivalence.rs` grid pins the two layouts to
 //! byte-identical [`SimReport`]s across all 17 heuristics.
@@ -74,9 +74,9 @@
 //!
 //! * **Scheduler snapshots are patched, not rebuilt.** The store tracks a
 //!   per-worker dirty bit (see the [`WorkerStore`] dirty-bit contract) set
-//!   by every mutation a snapshot can observe; `snapshot_procs` rewrites
-//!   the persistent buffer's states and recomputes `delay`/`has_program`
-//!   only for dirty workers. The AoS oracle opts out
+//!   by every mutation a snapshot can observe; `snapshot_procs` restores
+//!   the states the last placement rounds masked and re-reads only dirty
+//!   workers. The AoS oracle opts out
 //!   ([`WorkerStore::INCREMENTAL_SNAPSHOTS`]) and rebuilds from scratch,
 //!   so the equivalence grid cross-checks the two paths; debug builds also
 //!   assert patched ≡ rebuilt at every consult.
@@ -191,7 +191,7 @@ pub mod phase_profile {
         "pool_place",
         "pool_bind",
         "cands",
-        "free_scan",
+        "free_count",
         "mask",
         "replica_place",
         "replica_bind",
@@ -199,14 +199,14 @@ pub mod phase_profile {
 
     /// Cumulative nanoseconds of the schedule phase's sub-parts: the
     /// snapshot consult, the pool (originals) placement and its bind
-    /// loop, the replica-candidate generation, the free-worker scan, the
+    /// loop, the replica-candidate generation, the free-worker count, the
     /// snapshot masking pass, and the replica placement and its bind/mint
     /// loop. Together they partition (almost all of) the `schedule` entry
     /// of [`NANOS`] — the split that told this codebase the
     /// Eq.-(2)/Theorem-2 score evaluations, not the snapshot walk,
     /// dominated at `p = 1024`, the one that separates selector cost (the
     /// `*_place` entries) from bind bookkeeping, and — since the
-    /// free-scan/mask/cands split — the one that shows what the replica
+    /// free-count/mask/cands split — the one that shows what the replica
     /// phase's candidates-first early-out actually skips.
     pub static SUB: [AtomicU64; 8] = [const { AtomicU64::new(0) }; 8];
 
@@ -356,10 +356,13 @@ enum Request {
 struct SlotScratch {
     /// Scheduler-visible snapshots. **Persistent across slots**: with an
     /// incremental store ([`WorkerStore::INCREMENTAL_SNAPSHOTS`]) the
-    /// buffer is patched in place — states rewritten, `delay` /
-    /// `has_program` recomputed only for dirty workers — instead of being
-    /// rebuilt; the oracle layout rebuilds it from scratch every consult.
+    /// buffer is patched in place — masked states restored, dirty workers
+    /// re-read — instead of being rebuilt; the oracle layout rebuilds it
+    /// from scratch every consult.
     procs: Vec<ProcSnapshot>,
+    /// Workers whose `UP` snapshot state a placement round masked to
+    /// `RECLAIMED` since the last consult, which restores them.
+    masked: Vec<u32>,
     /// Whether `procs` holds a patchable snapshot of the *current run*.
     /// Reset at run start (an arena reuses this scratch across runs and
     /// platforms), forcing the first consult to rebuild fully.
@@ -374,20 +377,6 @@ struct SlotScratch {
     /// BindCapacity`] top-up loop (phase 3); compacted in place as binds
     /// succeed, untouched on the uncapped path.
     pending: Vec<TaskId>,
-    /// Free-worker bitmask for the replica path (phase 3): `free[q]` iff
-    /// worker `q` is UP and completely idle. **Persistent across slots**
-    /// when `free_valid` holds: with a summary-tracking store only the
-    /// blocks named by [`WorkerStore::changed_blocks`] are recomputed at
-    /// each consult instead of rescanning all p workers.
-    free: Vec<bool>,
-    /// Per-[`SUMMARY_BLOCK`] population counts of `free`, maintained
-    /// alongside it so the free total needs no dense re-count.
-    free_blocks: Vec<u32>,
-    /// Σ `free_blocks` — the replica path's candidate capacity.
-    free_total: usize,
-    /// Whether `free`/`free_blocks` describe the current run's platform.
-    /// Reset at run start, forcing the first consult to rebuild fully.
-    free_valid: bool,
     /// Pinned-replica workers of the task being sibling-canceled, copied
     /// out of the iteration record before the per-worker cancels mutate it.
     replica_pins: Vec<u32>,
@@ -409,6 +398,8 @@ struct SlotScratch {
     completions: Vec<(usize, CopyId)>,
     /// This slot's availability states, one per worker (phase 1).
     state_row: Vec<ProcState>,
+    /// `UP` workers this slot (phase 1's census).
+    up: usize,
     /// Spill buffer for crash losses and sibling cancellations.
     copies: Vec<CopyId>,
     /// One activity row for timeline recording (phase 7).
@@ -425,18 +416,17 @@ impl SlotScratch {
     /// Readies the scratch for a run over `p` workers and `m` tasks per
     /// iteration: every buffer is presized to its steady-state high-water
     /// mark (a warmed buffer keeps any larger capacity), and the cached
-    /// snapshot and free mask — which may describe another run's platform —
-    /// are invalidated so the first consult rebuilds them fully.
+    /// snapshot — which may describe another run's platform — is
+    /// invalidated so the first consult rebuilds it fully.
     fn prepare(&mut self, p: usize, m: usize) {
         self.procs_valid = false;
-        self.free_valid = false;
+        self.masked.clear();
         reserve_total(&mut self.procs, p);
+        reserve_total(&mut self.masked, p);
         reserve_total(&mut self.pool, m);
         reserve_total(&mut self.cands, m);
         reserve_total(&mut self.placements, m.max(p));
         reserve_total(&mut self.pending, m);
-        reserve_total(&mut self.free, p);
-        reserve_total(&mut self.free_blocks, p.div_ceil(SUMMARY_BLOCK));
         reserve_total(&mut self.replica_pins, 4);
         reserve_total(&mut self.room, p);
         reserve_total(&mut self.continuations, p);
@@ -1234,7 +1224,10 @@ impl<S: WorkerStore> Simulation<S> {
             ..
         } = self;
         let SlotScratch {
-            state_row, copies, ..
+            state_row,
+            copies,
+            up,
+            ..
         } = scratch;
         state_row.clear();
         sources.next_row_into(state_row);
@@ -1257,44 +1250,52 @@ impl<S: WorkerStore> Simulation<S> {
         workers.set_states(state_row);
         // State census: O(1) from the store's block summaries when it
         // maintains them, a dense tally otherwise (the oracle layout).
-        match workers.state_census() {
-            Some(census) => {
-                for (i, n) in census.into_iter().enumerate() {
-                    counters.state_slots[i] += n as u64;
-                }
+        let census = workers.state_census().unwrap_or_else(|| {
+            let mut census = [0; 3];
+            for &state in state_row.iter() {
+                census[state.index()] += 1;
             }
-            None => {
-                for &state in state_row.iter() {
-                    counters.state_slots[state.index()] += 1;
-                }
-            }
+            census
+        });
+        for (i, n) in census.into_iter().enumerate() {
+            counters.state_slots[i] += n as u64;
         }
-        // Crash pass, chunked over the summary blocks: a block with no DOWN
-        // worker is dismissed in one compare. Blocks ascend, so crash order
-        // (and therefore copy-loss accounting order) is unchanged.
-        let p = state_row.len();
-        for b in 0..workers.summary_blocks() {
-            if !workers.block_may_have_down(b) {
-                continue;
-            }
-            let start = b * SUMMARY_BLOCK;
-            let end = (start + SUMMARY_BLOCK).min(p);
-            #[allow(clippy::needless_range_loop)] // block-bounded sweep
-            for q in start..end {
-                if state_row[q] != ProcState::Down {
+        *up = census[0];
+        // Every DOWN worker off the newly-DOWN list was stripped when it
+        // went down and has stayed empty since (debug builds check it,
+        // exhaustively or over a slot-rotating window).
+        #[cfg(debug_assertions)]
+        {
+            let p = state_row.len();
+            let exhaustive = exhaustive_debug_checks(p);
+            let base = (*slot as usize).wrapping_mul(DEBUG_SAMPLE_WINDOW) % p.max(1);
+            for q in 0..p {
+                if (!exhaustive && (q + p - base) % p >= DEBUG_SAMPLE_WINDOW)
+                    || workers.state(q) != ProcState::Down
+                    || workers.newly_down().binary_search(&(q as u32)).is_ok()
+                {
                     continue;
                 }
-                copies.clear();
-                workers.crash_into(q, copies);
-                for &copy in copies.iter() {
-                    counters.copies_lost_to_down += 1;
-                    let (it, lt) = iter_for(apps, copy.task);
-                    if copy.is_original() {
-                        it.release_original(lt);
-                    } else {
-                        it.drop_replica(lt);
-                        it.clear_replica_pin(lt, q);
-                    }
+                debug_assert!(
+                    !workers.busy(q) && workers.prog_done(q) == 0,
+                    "DOWN worker {q} kept work past its crash"
+                );
+            }
+        }
+        // Crash pass over the workers that just went DOWN, in ascending
+        // order, so the copy-loss accounting order is the full scan's.
+        for i in 0..workers.newly_down().len() {
+            let q = workers.newly_down()[i] as usize;
+            copies.clear();
+            workers.crash_into(q, copies);
+            for &copy in copies.iter() {
+                counters.copies_lost_to_down += 1;
+                let (it, lt) = iter_for(apps, copy.task);
+                if copy.is_original() {
+                    it.release_original(lt);
+                } else {
+                    it.drop_replica(lt);
+                    it.clear_replica_pin(lt, q);
                 }
             }
         }
@@ -1308,14 +1309,13 @@ impl<S: WorkerStore> Simulation<S> {
     /// about the future is). The per-run `chains` slice completes the view.
     ///
     /// With an incremental store ([`WorkerStore::INCREMENTAL_SNAPSHOTS`])
-    /// the persistent buffer is **patched in place**: states are rewritten
-    /// for every worker (they change every slot, and the replica path masks
-    /// them after use), while the `delay` walk and `has_program` are
-    /// recomputed only for workers whose dirty bit says their pipeline
-    /// changed since the last consult — `Delay(q)` is a pure function of
-    /// the pipeline fields, so a clean worker's cached delay is exact. Dirty
-    /// bits are sticky across unconsulted slots, so the consult can stay
-    /// lazy. The oracle layout ([`crate::AosWorkers`]) rebuilds from
+    /// the persistent buffer is **patched in place**: the states the last
+    /// placement rounds masked are restored, then only workers whose dirty
+    /// bit is set are re-read — state, `has_program` and the `delay` walk.
+    /// A state flip dirties its worker, and `Delay(q)` is a pure function
+    /// of the pipeline fields, so a clean worker's cached entry is exact.
+    /// Dirty bits are sticky across unconsulted slots, so the consult can
+    /// stay lazy. The oracle layout ([`crate::AosWorkers`]) rebuilds from
     /// scratch every time, and debug builds cross-check the two against
     /// each other field for field.
     fn snapshot_procs(&mut self) {
@@ -1329,10 +1329,14 @@ impl<S: WorkerStore> Simulation<S> {
         } = self;
         let p = workers.len();
         if S::INCREMENTAL_SNAPSHOTS && scratch.procs_valid && scratch.procs.len() == p {
+            for &q in &scratch.masked {
+                let q = q as usize;
+                scratch.procs[q].state = workers.state(q);
+            }
             for (q, snap) in scratch.procs.iter_mut().enumerate() {
-                let state = workers.state(q);
-                snap.state = state;
                 if workers.snapshot_dirty(q) {
+                    let state = workers.state(q);
+                    snap.state = state;
                     snap.has_program = workers.has_program(q, app.t_prog);
                     // Schedulers only place on (and only read the delay of)
                     // UP processors, so the pipeline walk is skipped for
@@ -1364,6 +1368,7 @@ impl<S: WorkerStore> Simulation<S> {
             }));
             scratch.procs_valid = true;
         }
+        scratch.masked.clear();
         // Incremental-vs-full oracle (debug): every consult must equal a
         // from-scratch rebuild, or a mutator skipped its dirty bit. Beyond
         // EXHAUSTIVE_DEBUG_MAX_P, rebuilding all p delay estimates per
@@ -1601,8 +1606,9 @@ impl<S: WorkerStore> Simulation<S> {
             // `place_into`'s per-candidate row fill, so a round costs
             // O(capacity), not O(p). Masking is cumulative across app
             // rounds — sound because room is monotone non-increasing
-            // within the phase — and states are rewritten from the store at
-            // the next snapshot consult, so no restore pass is needed.
+            // within the phase. Only UP entries flip (schedulers test
+            // nothing but `is_up`), and each is recorded so the next
+            // snapshot consult restores it.
             sub!(5, {
                 let Self {
                     workers, scratch, ..
@@ -1611,9 +1617,10 @@ impl<S: WorkerStore> Simulation<S> {
                 debug_assert!(scratch.room.iter().enumerate().all(|(q, &r)| {
                     (r > 0) == (workers.state(q) == ProcState::Up && workers.has_bind_room(q))
                 }));
-                for (pr, &room) in scratch.procs.iter_mut().zip(scratch.room.iter()) {
-                    if room == 0 {
+                for (q, (pr, &room)) in scratch.procs.iter_mut().zip(&scratch.room).enumerate() {
+                    if room == 0 && pr.state == ProcState::Up {
                         pr.state = ProcState::Reclaimed;
+                        scratch.masked.push(q as u32);
                     }
                 }
             });
@@ -1697,7 +1704,7 @@ impl<S: WorkerStore> Simulation<S> {
     /// already carries its full replica set, so the candidate list — an
     /// O(m′) scan over the few unfinished tasks — empties long before the
     /// platform runs out of idle workers. Generating it before the
-    /// free-worker scan turns those slots' O(p) pass into an early-out
+    /// free-worker count turns those slots' busy-bitmap walk into an early-out
     /// (`replica_candidates_into` reads only iteration state, so the
     /// reorder is unobservable).
     fn schedule_replicas(&mut self, mut have_snapshot: bool) {
@@ -1719,10 +1726,9 @@ impl<S: WorkerStore> Simulation<S> {
             for t in self.scratch.cands.iter_mut() {
                 *t = global_task(base, *t);
             }
-            // The free mask absorbs earlier binds of this slot through the
-            // store's changed-block feed, so each round sees the
-            // *currently* free workers.
-            let n_free = sub!(4, self.refresh_free_mask());
+            // Counted afresh per round, so each round sees the *currently*
+            // free workers (earlier rounds' binds included).
+            let n_free = sub!(4, self.free_count());
             let k = self.scratch.cands.len().min(n_free);
             if k == 0 {
                 continue;
@@ -1735,19 +1741,23 @@ impl<S: WorkerStore> Simulation<S> {
                 have_snapshot = true;
             }
             // Restrict the heuristic's choice to the free workers by
-            // masking everyone else as non-UP, in place. No re-snapshot is
-            // needed after earlier rounds' masking: free workers are UP
-            // with room, and the free set only shrinks within a slot, so
-            // every worker an earlier round masked stays masked here, and
-            // masked workers' fields are unread (schedulers only score UP
-            // processors).
+            // masking every busy UP worker as non-UP, in place — a walk
+            // over the busy bitmap; workers that are not UP are already
+            // out of every scheduler's reach (schedulers only score UP
+            // processors). No re-snapshot is needed after earlier rounds'
+            // masking: the free set only shrinks within a slot, so every
+            // worker an earlier round masked stays masked here.
             sub!(5, {
-                let SlotScratch { procs, free, .. } = &mut self.scratch;
-                for (pr, &f) in procs.iter_mut().zip(free.iter()) {
-                    if !f {
-                        pr.state = ProcState::Reclaimed;
+                let Self {
+                    workers, scratch, ..
+                } = self;
+                let SlotScratch { procs, masked, .. } = scratch;
+                for_each_busy_worker!(workers, q, {
+                    if workers.busy(q) && procs[q].state == ProcState::Up {
+                        procs[q].state = ProcState::Reclaimed;
+                        masked.push(q as u32);
                     }
-                }
+                });
             });
             // Free workers have full room by construction, so the view
             // carries no room column.
@@ -1806,85 +1816,25 @@ impl<S: WorkerStore> Simulation<S> {
         scheduler.place_into(&view, count, &mut scratch.placements);
     }
 
-    /// Brings the replica path's free-worker mask (`scratch.free[q]` iff
-    /// worker `q` is UP ∧ idle) up to date and returns the free total.
-    ///
-    /// This is the incremental candidate generation of the platform-scale
-    /// path: with a summary-tracking store, a valid cache is patched by
-    /// recomputing only the blocks the store marked changed since the last
-    /// consult (state redraws and occupancy flips both mark — see
-    /// [`WorkerStore::changed_blocks`]), so steady-state slots touch a
-    /// handful of blocks instead of rescanning all p workers. The oracle
-    /// layout (no tracking) and the first consult of a run rebuild densely,
-    /// skipping blocks the summaries prove free-less; debug builds
-    /// cross-check the patched mask against a dense recompute.
-    fn refresh_free_mask(&mut self) -> usize {
-        let Self {
-            workers, scratch, ..
-        } = self;
-        let p = workers.len();
-        let nblocks = workers.summary_blocks();
-        let block_free = |workers: &S, b: usize, free: &mut [bool]| -> u32 {
-            let start = b * SUMMARY_BLOCK;
-            let end = (start + SUMMARY_BLOCK).min(p);
-            let mut n = 0u32;
-            #[allow(clippy::needless_range_loop)] // block-bounded sweep
-            for q in start..end {
-                let f = workers.state(q) == ProcState::Up && workers.is_idle(q);
-                free[q] = f;
-                n += u32::from(f);
-            }
-            n
-        };
-        if S::INCREMENTAL_SNAPSHOTS && scratch.free_valid && scratch.free.len() == p {
-            if let Some(changed) = workers.changed_blocks() {
-                for &b in changed {
-                    let b = b as usize;
-                    let n = block_free(workers, b, &mut scratch.free);
-                    scratch.free_total =
-                        scratch.free_total + n as usize - scratch.free_blocks[b] as usize;
-                    scratch.free_blocks[b] = n;
-                }
-            } else {
-                // An incremental store without block tracking would read a
-                // stale mask here — the trait default must not be inherited
-                // by INCREMENTAL_SNAPSHOTS layouts.
-                debug_assert!(false, "incremental store lost its changed-block feed");
-                scratch.free_valid = false;
-            }
-        }
-        if !(S::INCREMENTAL_SNAPSHOTS && scratch.free_valid && scratch.free.len() == p) {
-            scratch.free.clear();
-            scratch.free.resize(p, false);
-            scratch.free_blocks.clear();
-            scratch.free_blocks.resize(nblocks, 0);
-            scratch.free_total = 0;
-            for b in 0..nblocks {
-                // An all-busy or no-UP block stays all-false without a scan.
-                if !workers.block_may_have_free(b) {
-                    continue;
-                }
-                let n = block_free(workers, b, &mut scratch.free);
-                scratch.free_blocks[b] = n;
-                scratch.free_total += n as usize;
-            }
-            scratch.free_valid = S::INCREMENTAL_SNAPSHOTS;
-        }
-        workers.clear_changed_blocks();
-        #[cfg(debug_assertions)]
-        {
-            let mut n = 0usize;
-            for q in 0..p {
-                let f = workers.state(q) == ProcState::Up && workers.is_idle(q);
-                debug_assert_eq!(
-                    scratch.free[q], f,
-                    "stale free mask on worker {q}: a mutation missed its block mark"
-                );
-                n += usize::from(f);
-            }
-            debug_assert_eq!(n, scratch.free_total, "free total drifted");
-        }
-        scratch.free_total
+    /// The replica path's candidate capacity: workers `UP` ∧ idle. That is
+    /// the slot's `UP` census minus the busy `UP` workers, so the count
+    /// walks the busy bitmap instead of the platform; debug builds check it
+    /// against a dense recount.
+    fn free_count(&self) -> usize {
+        let workers = &self.workers;
+        let mut up_busy = 0;
+        for_each_busy_worker!(workers, q, {
+            up_busy += usize::from(workers.busy(q) && workers.state(q) == ProcState::Up);
+        });
+        let n_free = self.scratch.up - up_busy;
+        debug_assert_eq!(
+            n_free,
+            (0..workers.len())
+                .filter(|&q| workers.state(q) == ProcState::Up && workers.is_idle(q))
+                .count(),
+            "free count diverged from a dense UP ∧ idle recount"
+        );
+        n_free
     }
 
     fn phase_transfers(&mut self) {

@@ -123,8 +123,16 @@ pub trait WorkerStore: Default + Send {
     fn state(&self, q: usize) -> ProcState;
 
     /// Overwrites every worker's state from `states` (`states.len()` must
-    /// equal [`Self::len`]) — phase 1's dense column write.
+    /// equal [`Self::len`]) — phase 1's dense column write — and records
+    /// the workers that flipped into `DOWN` in [`Self::newly_down`].
     fn set_states(&mut self, states: &[ProcState]);
+
+    /// Workers whose state flipped into `DOWN` at the last
+    /// [`Self::set_states`], ascending; empty after [`Self::reset_for`].
+    /// These are the only workers a crash can strip: one that was already
+    /// `DOWN` lost everything at its own flip, and nothing binds, transfers
+    /// or computes on a non-`UP` worker since.
+    fn newly_down(&self) -> &[u32];
 
     /// Slots of program received by worker `q`.
     fn prog_done(&self, q: usize) -> SlotSpan;
@@ -274,19 +282,6 @@ pub trait WorkerStore: Default + Send {
         word
     }
 
-    /// May block `b` contain a `DOWN` worker? Same contract shape as
-    /// [`Self::block_may_be_busy`]; consumed by the crash pass.
-    fn block_may_have_down(&self, _b: usize) -> bool {
-        true
-    }
-
-    /// May block `b` contain a **free** worker (`UP` ∧ idle — a replica
-    /// candidate)? Same contract shape as [`Self::block_may_be_busy`];
-    /// consumed by the free-mask rebuild.
-    fn block_may_have_free(&self, _b: usize) -> bool {
-        true
-    }
-
     /// Per-state worker counts `[up, reclaimed, down]` for the current
     /// slot, if the layout maintains them (`None` sends the caller down a
     /// dense tally). Phase 1's state census consumes this — O(1) instead
@@ -294,21 +289,6 @@ pub trait WorkerStore: Default + Send {
     fn state_census(&self) -> Option<[usize; 3]> {
         None
     }
-
-    /// Blocks whose `state` or `occupancy` column changed since the last
-    /// [`Self::clear_changed_blocks`] — unordered, duplicate-free — or
-    /// `None` when the layout does not track block changes (the caller
-    /// must then treat every block as changed). Marks are **sticky**
-    /// until cleared, and [`Self::reset_for`] marks every block changed.
-    /// There is exactly one consumer: the engine's incremental free-mask
-    /// cache (the replica path's candidate generation), which recomputes
-    /// precisely the changed blocks.
-    fn changed_blocks(&self) -> Option<&[u32]> {
-        None
-    }
-
-    /// Resets the changed-block tracking (the consumer caught up).
-    fn clear_changed_blocks(&mut self) {}
 
     /// `Delay(q)` — see [`WorkerRuntime::delay_estimate`].
     fn delay_estimate(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) -> SlotSpan;
@@ -346,6 +326,8 @@ pub struct AosWorkers {
     pub workers: Vec<WorkerRuntime>,
     /// Snapshot dirty bits (see the [`WorkerStore`] contract).
     dirty: Vec<bool>,
+    /// See [`WorkerStore::newly_down`].
+    newly_down: Vec<u32>,
 }
 
 impl WorkerStore for AosWorkers {
@@ -370,6 +352,8 @@ impl WorkerStore for AosWorkers {
             self.workers.push(WorkerRuntime::new(spec));
         }
         refill(&mut self.dirty, p, true);
+        self.newly_down.clear();
+        self.newly_down.reserve(p);
     }
 
     #[inline]
@@ -384,12 +368,21 @@ impl WorkerStore for AosWorkers {
 
     #[inline]
     fn set_states(&mut self, states: &[ProcState]) {
+        self.newly_down.clear();
         for (q, (w, &s)) in self.workers.iter_mut().zip(states).enumerate() {
             if w.state != s {
                 w.state = s;
                 self.dirty[q] = true;
+                if s == ProcState::Down {
+                    self.newly_down.push(q as u32);
+                }
             }
         }
+    }
+
+    #[inline]
+    fn newly_down(&self) -> &[u32] {
+        &self.newly_down
     }
 
     #[inline]
@@ -550,7 +543,7 @@ pub struct WorkerSoA {
     buffered: Vec<Option<CopyId>>,
     /// Derived hot column: `pinned_count + bound.len()` per worker, kept in
     /// sync by every mutator. Collapses `is_idle` / `busy` /
-    /// `has_bind_room` — the free-mask scan of the replica path above all —
+    /// `has_bind_room` — the free count of the replica path above all —
     /// to a single byte read instead of three `Option` columns plus a
     /// `Vec` header chase. The SoA⇄AoS oracle grid pins its consistency.
     occupancy: Vec<u8>,
@@ -575,11 +568,9 @@ pub struct WorkerSoA {
     up_total: usize,
     /// Σ `blk_down`.
     down_total: usize,
-    /// Membership bits for `changed_blocks` (dedup on mark).
-    blk_changed: Vec<bool>,
-    /// Blocks with a state or occupancy change since the last
-    /// [`WorkerStore::clear_changed_blocks`] — the free-mask cache's feed.
-    changed_blocks: Vec<u32>,
+    /// See [`WorkerStore::newly_down`]; filled by the changed-block diff of
+    /// [`Self::set_states`].
+    newly_down: Vec<u32>,
     // --- cold columns: touched on binds / crashes only --------------------
     /// Slot at which the current program transfer began.
     prog_began_at: Vec<Slot>,
@@ -588,16 +579,6 @@ pub struct WorkerSoA {
 }
 
 impl WorkerSoA {
-    /// Marks worker `q`'s block changed (idempotent between drains).
-    #[inline]
-    fn note_block_changed(&mut self, q: usize) {
-        let b = q / SUMMARY_BLOCK;
-        if !self.blk_changed[b] {
-            self.blk_changed[b] = true;
-            self.changed_blocks.push(b as u32);
-        }
-    }
-
     /// Increments worker `q`'s occupancy byte, maintaining the block busy
     /// count. The documented pipeline bound — `pinned_count + bound.len()`
     /// never exceeds 2 (`has_bind_room` gates every bind; promotions clear
@@ -616,7 +597,6 @@ impl WorkerSoA {
         if occ == 0 {
             self.blk_busy[q / SUMMARY_BLOCK] += 1;
             self.busy_words[q / 64] |= 1u64 << (q % 64);
-            self.note_block_changed(q);
         }
     }
 
@@ -639,7 +619,6 @@ impl WorkerSoA {
         if now == 0 {
             self.blk_busy[q / SUMMARY_BLOCK] -= 1;
             self.busy_words[q / 64] &= !(1u64 << (q % 64));
-            self.note_block_changed(q);
         }
     }
 }
@@ -678,9 +657,7 @@ impl WorkerStore for WorkerSoA {
         // stale bits from a previous (possibly larger) platform must not
         // leak through an arena reuse.
         refill(&mut self.dirty, p, true);
-        // Fresh platform: everyone Reclaimed and idle — zero the summaries
-        // and mark every block changed so a free-mask consumer that missed
-        // its own invalidation still rebuilds everything it reads.
+        // Fresh platform: everyone Reclaimed and idle — zero the summaries.
         let nblocks = p.div_ceil(SUMMARY_BLOCK);
         refill(&mut self.blk_busy, nblocks, 0);
         refill(&mut self.busy_words, p.div_ceil(64), 0);
@@ -688,9 +665,8 @@ impl WorkerStore for WorkerSoA {
         refill(&mut self.blk_down, nblocks, 0);
         self.up_total = 0;
         self.down_total = 0;
-        refill(&mut self.blk_changed, nblocks, true);
-        self.changed_blocks.clear();
-        self.changed_blocks.extend(0..nblocks as u32);
+        self.newly_down.clear();
+        self.newly_down.reserve(p);
         refill(&mut self.prog_began_at, p, 0);
         // `bound` keeps each retained worker's allocation alive.
         self.bound.truncate(p);
@@ -716,10 +692,12 @@ impl WorkerStore for WorkerSoA {
         debug_assert_eq!(states.len(), self.state.len());
         // Changed states dirty their worker (a non-UP delay sentinel, or a
         // stale delay from before a suspension, must be rewritten when the
-        // state flips); unchanged ones stay clean. The pass runs block by
-        // block: a block whose 256-byte window re-draws identically is
-        // dismissed by one slice compare, and only changed blocks pay the
-        // per-worker diff plus the up/down count rebuild.
+        // state flips); unchanged ones stay clean, and flips into DOWN are
+        // listed for the crash pass. The pass runs block by block: a block
+        // whose 256-byte window re-draws identically is dismissed by one
+        // slice compare, and only changed blocks pay the per-worker diff
+        // plus the up/down count rebuild.
+        self.newly_down.clear();
         let p = self.state.len();
         let (mut start, mut b) = (0, 0);
         while start < p {
@@ -728,11 +706,17 @@ impl WorkerStore for WorkerSoA {
                 let (mut up, mut down) = (0u16, 0u16);
                 for (q, &src) in states[start..end].iter().enumerate() {
                     let q = start + q;
-                    if self.state[q] != src {
-                        self.dirty[q] = true;
+                    // The dirty mark is or-ed in: a branch on the flip
+                    // itself would mispredict at the chain's transition
+                    // rate.
+                    let flip = self.state[q] != src;
+                    self.dirty[q] |= flip;
+                    let is_down = src == ProcState::Down;
+                    if flip && is_down {
+                        self.newly_down.push(q as u32);
                     }
                     up += u16::from(src == ProcState::Up);
-                    down += u16::from(src == ProcState::Down);
+                    down += u16::from(is_down);
                 }
                 self.up_total = self.up_total + usize::from(up) - usize::from(self.blk_up[b]);
                 self.down_total =
@@ -740,11 +724,15 @@ impl WorkerStore for WorkerSoA {
                 self.blk_up[b] = up;
                 self.blk_down[b] = down;
                 self.state[start..end].copy_from_slice(&states[start..end]);
-                self.note_block_changed(start);
             }
             start = end;
             b += 1;
         }
+    }
+
+    #[inline]
+    fn newly_down(&self) -> &[u32] {
+        &self.newly_down
     }
 
     #[inline]
@@ -899,8 +887,7 @@ impl WorkerStore for WorkerSoA {
     }
 
     fn bindable_count(&self) -> usize {
-        // One pass over the two hot byte-wide columns — the same
-        // two-column walk the replica path's free scan does, without the
+        // One pass over the two hot byte-wide columns, without the
         // per-worker accessor dispatch of the default implementation.
         self.state
             .iter()
@@ -1010,20 +997,6 @@ impl WorkerStore for WorkerSoA {
     }
 
     #[inline]
-    fn block_may_have_down(&self, b: usize) -> bool {
-        self.blk_down[b] != 0
-    }
-
-    #[inline]
-    fn block_may_have_free(&self, b: usize) -> bool {
-        // Free needs UP ∧ idle; without the joint distribution the exact
-        // test is `∃ UP worker` ∧ `∃ idle worker` — conservative but
-        // cheap, and exact in the common all-idle / no-UP extremes.
-        let len = (self.state.len() - b * SUMMARY_BLOCK).min(SUMMARY_BLOCK);
-        self.blk_up[b] != 0 && usize::from(self.blk_busy[b]) < len
-    }
-
-    #[inline]
     fn state_census(&self) -> Option<[usize; 3]> {
         let p = self.state.len();
         Some([
@@ -1031,18 +1004,6 @@ impl WorkerStore for WorkerSoA {
             p - self.up_total - self.down_total,
             self.down_total,
         ])
-    }
-
-    #[inline]
-    fn changed_blocks(&self) -> Option<&[u32]> {
-        Some(&self.changed_blocks)
-    }
-
-    fn clear_changed_blocks(&mut self) {
-        for &b in &self.changed_blocks {
-            self.blk_changed[b as usize] = false;
-        }
-        self.changed_blocks.clear();
     }
 
     #[inline]
@@ -1412,12 +1373,6 @@ mod tests {
             assert_eq!(usize::from(soa.blk_up[b]), up, "blk_up[{b}]");
             assert_eq!(usize::from(soa.blk_down[b]), down, "blk_down[{b}]");
             assert_eq!(soa.block_may_be_busy(b), busy != 0);
-            assert_eq!(soa.block_may_have_down(b), down != 0);
-            // The free hint must never claim "no free worker" falsely.
-            let free = (start..end)
-                .filter(|&q| soa.state[q] == ProcState::Up && soa.occupancy[q] == 0)
-                .count();
-            assert!(soa.block_may_have_free(b) || free == 0, "free hint lies");
             up_total += up;
             down_total += down;
         }
@@ -1430,8 +1385,7 @@ mod tests {
     }
 
     /// Block summaries track a multi-block platform through state redraws,
-    /// occupancy churn, crashes and cancels; the changed-block feed marks
-    /// exactly the touched blocks, stays sticky, and drains on clear.
+    /// occupancy churn, crashes and cancels.
     #[test]
     fn block_summaries_track_columns() {
         use ProcState::{Down, Reclaimed, Up};
@@ -1439,28 +1393,16 @@ mod tests {
         let mut soa = WorkerSoA::default();
         soa.reset_for(specs(&vec![3; p]).into_iter());
         assert_eq!(soa.summary_blocks(), 3);
-        // reset_for marks every block changed.
-        assert_eq!(soa.changed_blocks().unwrap(), &[0, 1, 2]);
         check_summaries(&soa);
-        soa.clear_changed_blocks();
-        assert!(soa.changed_blocks().unwrap().is_empty());
 
-        // A state redraw only marks the blocks whose window changed.
         let mut states = vec![Reclaimed; p];
         states[SUMMARY_BLOCK] = Up;
         states[SUMMARY_BLOCK + 3] = Down;
         soa.set_states(&states);
         check_summaries(&soa);
-        assert_eq!(soa.changed_blocks().unwrap(), &[1]);
-        // Re-drawing the identical row marks nothing further.
-        soa.set_states(&states);
-        assert_eq!(soa.changed_blocks().unwrap(), &[1]);
 
-        // Busy flips mark their block (0 ↔ non-zero only): a second copy
-        // on the same worker is not a flip.
+        // A second copy on the same worker is not a busy flip.
         soa.bound_push(5, copy(1, 0));
-        assert_eq!(soa.changed_blocks().unwrap(), &[1, 0]);
-        soa.clear_changed_blocks();
         soa.set_computing(
             5,
             Some(ComputeState {
@@ -1468,14 +1410,9 @@ mod tests {
                 done: 0,
             }),
         );
-        assert!(
-            soa.changed_blocks().unwrap().is_empty(),
-            "1 → 2 is not a busy flip"
-        );
         check_summaries(&soa);
 
-        // Crash in the last (partial) block: occupancy drains to zero and
-        // the block is marked.
+        // Crash in the last (partial) block: occupancy drains to zero.
         soa.set_transfer(
             2 * SUMMARY_BLOCK + 16,
             Some(TransferState {
@@ -1487,24 +1424,72 @@ mod tests {
         let mut lost = Vec::new();
         soa.crash_into(2 * SUMMARY_BLOCK + 16, &mut lost);
         assert_eq!(lost, vec![copy(3, 0)]);
-        assert_eq!(soa.changed_blocks().unwrap(), &[2]);
         check_summaries(&soa);
 
-        // Cancel the two copies on worker 5 one task at a time; the block
-        // marks on the final flip to idle.
-        soa.clear_changed_blocks();
+        // Cancel the two copies on worker 5 one task at a time.
         let mut removed = Vec::new();
         soa.cancel_task_into(5, TaskId(1), &mut removed);
-        assert!(soa.changed_blocks().unwrap().is_empty());
+        check_summaries(&soa);
         soa.cancel_task_into(5, TaskId(2), &mut removed);
-        assert_eq!(soa.changed_blocks().unwrap(), &[0]);
         check_summaries(&soa);
 
         // Shrink through an arena-style reset: summaries shrink with it.
         soa.reset_for(specs(&[1, 2]).into_iter());
         assert_eq!(soa.summary_blocks(), 1);
-        assert_eq!(soa.changed_blocks().unwrap(), &[0]);
         check_summaries(&soa);
+    }
+
+    /// `newly_down` lists exactly the workers that flipped into DOWN at the
+    /// last redraw, ascending and across block boundaries; a redraw with
+    /// no flip empties it, and `reset_for` clears it on every grow/shrink
+    /// reuse.
+    fn check_newly_down<S: WorkerStore>(store: &mut S) {
+        use ProcState::{Down, Reclaimed, Up};
+        let p = 2 * SUMMARY_BLOCK + 17;
+        store.reset_for(specs(&vec![3; p]).into_iter());
+        assert!(store.newly_down().is_empty());
+
+        let mut states = vec![Up; p];
+        for q in [3, SUMMARY_BLOCK - 1, SUMMARY_BLOCK, 2 * SUMMARY_BLOCK + 16] {
+            states[q] = Down;
+        }
+        store.set_states(&states);
+        let want: Vec<u32> = vec![
+            3,
+            SUMMARY_BLOCK as u32 - 1,
+            SUMMARY_BLOCK as u32,
+            2 * SUMMARY_BLOCK as u32 + 16,
+        ];
+        assert_eq!(store.newly_down(), &want[..]);
+
+        // Staying DOWN is not a flip; neither is any other transition.
+        states[0] = Reclaimed;
+        states[SUMMARY_BLOCK] = Up;
+        store.set_states(&states);
+        assert!(store.newly_down().is_empty());
+
+        // Only the workers that just went DOWN, not those already there.
+        states[1] = Down;
+        states[SUMMARY_BLOCK] = Down;
+        store.set_states(&states);
+        assert_eq!(store.newly_down(), &[1, SUMMARY_BLOCK as u32]);
+        store.set_states(&states);
+        assert!(store.newly_down().is_empty());
+
+        // Resets clear the list, growing and shrinking alike.
+        for shape in [vec![1u64, 2], vec![3; 3 * SUMMARY_BLOCK], vec![5]] {
+            store.set_states(&vec![Down; store.len()]);
+            store.reset_for(specs(&shape).into_iter());
+            assert!(store.newly_down().is_empty(), "reset kept a stale list");
+            store.set_states(&vec![Reclaimed; shape.len()]);
+            assert!(store.newly_down().is_empty());
+        }
+    }
+
+    #[test]
+    fn newly_down_lists_exactly_the_flips_for_both_layouts() {
+        check_newly_down(&mut WorkerSoA::default());
+        check_newly_down(&mut AosWorkers::default());
     }
 
     #[test]
