@@ -32,8 +32,9 @@
 //! regression gate — while a baseline from a pre-cap revision is exempt
 //! (its capped cells simply pass ungated until the grid lands). When a
 //! phase-profile artifact path is given, it too must contain a capped
-//! `p = 1024` row, so the sub-split trajectory of the capped slot loop
-//! cannot quietly vanish from CI.
+//! `p = 1024` row and an uncapped `p = 65536` row (the repository
+//! benchmark's platform-scale regime), so neither sub-split trajectory
+//! can quietly vanish from CI.
 //!
 //! Since the platform-scale work the grid further carries `p ∈ {16384,
 //! 131072}` cells (chunked dense-column passes + sharded selection, with
@@ -89,19 +90,22 @@ fn parse_cells(json: &str) -> Vec<CellPerf> {
 }
 
 /// Requires the phase-profile artifact to carry a capped `p = 1024` row
-/// (the sub-split trajectory of the capped slot loop).
+/// (the sub-split trajectory of the capped slot loop) and an uncapped
+/// `p = 65536` row (the `platform_scale_64k` benchmark regime).
 fn check_phase_profile(path: &str, json: &str) -> Result<(), String> {
-    let has = json.lines().any(|line| {
-        field(line, "p").and_then(|v| v.parse::<u64>().ok()) == Some(1024)
-            && field(line, "capped") == Some("true")
-    });
-    if has {
-        Ok(())
-    } else {
-        Err(format!(
-            "{path} is missing the capped p=1024 phase-profile row"
-        ))
+    for (p, capped) in [(1024u64, true), (65_536, false)] {
+        let has = json.lines().any(|line| {
+            field(line, "p").and_then(|v| v.parse::<u64>().ok()) == Some(p)
+                && (field(line, "capped") == Some("true")) == capped
+        });
+        if !has {
+            let kind = if capped { "capped" } else { "uncapped" };
+            return Err(format!(
+                "{path} is missing the {kind} p={p} phase-profile row"
+            ));
+        }
     }
+    Ok(())
 }
 
 fn run(
@@ -627,6 +631,10 @@ mod tests {
         assert!(err.contains("p=16384"), "{err}");
     }
 
+    const CAPPED_1024: &str = r#"{"p": 1024, "capped": true, "slots": 1, "total_seconds": 1.0},"#;
+    const UNCAPPED_65536: &str =
+        r#"{"p": 65536, "capped": false, "slots": 1, "total_seconds": 1.0}"#;
+
     #[test]
     fn phase_profile_artifact_must_carry_the_capped_row() {
         let dir = std::env::temp_dir().join("vg_bench_guard_phase_profile");
@@ -635,19 +643,43 @@ mod tests {
         std::fs::write(&base, SAMPLE).unwrap();
         let b = base.to_str().unwrap();
         let with = dir.join("profile_with.json");
-        std::fs::write(
-            &with,
-            r#"{"p": 1024, "capped": true, "slots": 1, "total_seconds": 1.0}"#,
-        )
-        .unwrap();
+        std::fs::write(&with, format!("{CAPPED_1024}\n{UNCAPPED_65536}")).unwrap();
         assert!(run(b, b, 0.85, 0.90, Some(with.to_str().unwrap())).is_ok());
         let without = dir.join("profile_without.json");
         std::fs::write(
             &without,
-            r#"{"p": 1024, "capped": false, "slots": 1, "total_seconds": 1.0}"#,
+            format!(
+                "{}\n{UNCAPPED_65536}",
+                r#"{"p": 1024, "capped": false, "slots": 1, "total_seconds": 1.0},"#
+            ),
         )
         .unwrap();
         let err = run(b, b, 0.85, 0.90, Some(without.to_str().unwrap())).unwrap_err();
         assert!(err.contains("capped p=1024 phase-profile row"), "{err}");
+    }
+
+    #[test]
+    fn phase_profile_artifact_must_carry_the_uncapped_65536_row() {
+        let dir = std::env::temp_dir().join("vg_bench_guard_phase_profile_64k");
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("base.json");
+        std::fs::write(&base, SAMPLE).unwrap();
+        let b = base.to_str().unwrap();
+        // Missing outright, or present only as a capped row: both fail.
+        for (name, body) in [
+            ("only_1024.json", CAPPED_1024.to_string()),
+            (
+                "capped_65536.json",
+                format!("{CAPPED_1024}\n{}", UNCAPPED_65536.replace("false", "true")),
+            ),
+        ] {
+            let profile = dir.join(name);
+            std::fs::write(&profile, body).unwrap();
+            let err = run(b, b, 0.85, 0.90, Some(profile.to_str().unwrap())).unwrap_err();
+            assert!(
+                err.contains("uncapped p=65536 phase-profile row"),
+                "{name}: {err}"
+            );
+        }
     }
 }

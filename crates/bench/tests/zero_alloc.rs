@@ -157,7 +157,10 @@ fn steady_state_slot_loop_is_allocation_free() {
     // persistent SlotScratch, warmed like every other column).
     // p = 16384 with replication is the platform-scale regime, where the
     // store's newly-DOWN list and the snapshot's masked-worker list grow
-    // longest: both are presized to p, so they must stay silent too.
+    // longest: both are presized to p, so they must stay silent too. So
+    // must the two placement bitmaps: the store's dirty words are sized
+    // to ⌈p/64⌉ by `reset_for`, and the snapshot's UP words are presized
+    // by `SlotScratch::prepare` and refilled in place on a full rebuild.
     for (p, replication, budget) in [
         (64, false, PlacementBudget::Uncapped),
         (64, true, PlacementBudget::Uncapped),

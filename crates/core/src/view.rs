@@ -74,12 +74,19 @@ pub struct AppView {
 
 /// Scheduler-visible state of the whole platform at one slot.
 ///
-/// Borrows the engine's scratch snapshot buffer and its per-run chain
-/// statistics; copying a `SchedView` copies two fat pointers.
+/// Borrows the engine's scratch snapshot buffer, its UP bitmap and its
+/// per-run chain statistics; copying a `SchedView` copies a few fat
+/// pointers.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedView<'a> {
     /// One snapshot per processor, indexed by `ProcessorId::idx()`.
     pub procs: &'a [ProcSnapshot],
+    /// The UP bitmap of `procs`: bit `i % 64` of word `i / 64` is set iff
+    /// `procs[i].state` is `UP`, with `p.div_ceil(64)` words and every bit
+    /// past `p` zero (see [`up_words_into`]). The engine keeps it current
+    /// as it patches and masks the snapshot, so candidate enumeration
+    /// ([`Self::up_indices_into`]) costs O(u + p/64), not an O(p) scan.
+    pub up: &'a [u64],
     /// Precomputed statistics of the availability chain the scheduler
     /// *believes* describes each processor (the truth in the paper's
     /// experiments; an estimate in the model-misspecification studies).
@@ -134,13 +141,12 @@ impl<'a> SchedView<'a> {
     }
 
     /// Writes the indices of `UP` processors into `out` (cleared first), in
-    /// id order. No allocation once `out` has warmed to capacity.
+    /// id order, walking the set bits of [`Self::up`]. No allocation once
+    /// `out` has warmed to capacity.
     pub fn up_indices_into(&self, out: &mut Vec<usize>) {
         out.clear();
-        for (i, p) in self.procs.iter().enumerate() {
-            if p.state.is_up() {
-                out.push(i);
-            }
+        for (wi, &word) in self.up.iter().enumerate() {
+            out.extend(set_bits(word).map(|b| wi * 64 + b));
         }
     }
 
@@ -151,6 +157,36 @@ impl<'a> SchedView<'a> {
     }
 }
 
+/// The indices of the set bits of `word`, lowest first, one step per set
+/// bit: how a per-processor word bitmap (bit `i % 64` of word `i / 64`,
+/// like [`SchedView::up`]) is walked without scanning every processor.
+pub fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
+/// Writes the UP bitmap of `procs` into `out` (cleared first): bit `i % 64`
+/// of word `i / 64` is set iff `procs[i].state` is `UP`, bits past
+/// `procs.len()` zero — the [`SchedView::up`] layout.
+pub fn up_words_into(procs: &[ProcSnapshot], out: &mut Vec<u64>) {
+    let p = procs.len();
+    out.clear();
+    out.extend((0..p.div_ceil(64)).map(|wi| bit_word(p, wi, |i| procs[i].state.is_up())));
+}
+
+/// Word `wi` of the bitmap of `pred` over indices `0..n`: bit `i % 64` of
+/// word `i / 64` is `pred(i)`, bits past `n` zero. Builds a word bitmap
+/// densely, one predicate call per index.
+pub fn bit_word(n: usize, wi: usize, pred: impl Fn(usize) -> bool) -> u64 {
+    let start = wi * 64;
+    (start..(start + 64).min(n)).fold(0, |word, i| word | (u64::from(pred(i)) << (i - start)))
+}
+
 /// A self-contained view owning its snapshots and chain statistics.
 ///
 /// The engine never materializes one of these per slot; they exist for
@@ -159,6 +195,9 @@ impl<'a> SchedView<'a> {
 pub struct OwnedSchedView {
     /// One snapshot per processor.
     pub procs: Vec<ProcSnapshot>,
+    /// The UP bitmap of `procs` ([`SchedView::up`]); recompute it with
+    /// [`up_words_into`] after editing a snapshot's state.
+    pub up: Vec<u64>,
     /// One precomputed chain per processor.
     pub chains: Vec<ChainStats>,
     /// `T_prog`.
@@ -177,8 +216,16 @@ impl OwnedSchedView {
     /// Borrows as the [`SchedView`] that schedulers consume.
     #[must_use]
     pub fn view(&self) -> SchedView<'_> {
+        let p = self.procs.len();
+        debug_assert!(
+            self.up.len() == p.div_ceil(64)
+                && (0..self.up.len())
+                    .all(|wi| self.up[wi] == bit_word(p, wi, |i| self.procs[i].state.is_up())),
+            "OwnedSchedView::up is stale: recompute it with up_words_into"
+        );
         SchedView {
             procs: &self.procs,
+            up: &self.up,
             chains: &self.chains,
             t_prog: self.t_prog,
             t_data: self.t_data,
@@ -202,6 +249,7 @@ impl SchedViewBuilder {
         Self {
             view: OwnedSchedView {
                 procs: Vec::new(),
+                up: Vec::new(),
                 chains: Vec::new(),
                 t_prog,
                 t_data,
@@ -252,7 +300,8 @@ impl SchedViewBuilder {
 
     /// Finishes the view.
     #[must_use]
-    pub fn build(self) -> OwnedSchedView {
+    pub fn build(mut self) -> OwnedSchedView {
+        up_words_into(&self.view.procs, &mut self.view.up);
         self.view
     }
 }
@@ -294,6 +343,33 @@ mod tests {
         v.up_indices_into(&mut buf);
         assert_eq!(buf, vec![0, 1]);
         assert_eq!(ptr, buf.as_ptr(), "buffer must be reused, not reallocated");
+    }
+
+    /// The bitmap walk lists exactly the UP processors, in id order, on
+    /// platforms ending inside, at, and just past a 64-bit word boundary.
+    #[test]
+    fn up_indices_match_a_naive_filter_across_word_boundaries() {
+        let states = [ProcState::Up, ProcState::Reclaimed, ProcState::Down];
+        for p in [1usize, 63, 64, 65, 130] {
+            let mut b = SchedViewBuilder::new(5, 1, 2);
+            for i in 0..p {
+                // Mixed states, UP at both ends of every word.
+                let state = if i % 64 == 0 || i % 64 == 63 || i == p - 1 {
+                    ProcState::Up
+                } else {
+                    states[(i * 7 + i / 3) % 3]
+                };
+                b = b.proc(state, 1, false, 0, chain());
+            }
+            let owned = b.build();
+            let v = owned.view();
+            assert_eq!(v.up.len(), p.div_ceil(64), "p = {p}");
+            if !p.is_multiple_of(64) {
+                assert_eq!(v.up[p / 64] >> (p % 64), 0, "bits past p = {p}");
+            }
+            let naive: Vec<usize> = (0..p).filter(|&i| v.procs[i].state.is_up()).collect();
+            assert_eq!(v.up_indices(), naive, "p = {p}");
+        }
     }
 
     #[test]

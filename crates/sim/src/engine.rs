@@ -37,11 +37,12 @@
 //! * **Per-run borrows.** Everything a [`vg_core::SchedView`] exposes that
 //!   does not change slot-to-slot — one [`ChainStats`] per processor — is
 //!   precomputed once in [`Simulation::new`] and stored in `chains`. A view
-//!   is then just a pair of borrowed slices (`&scratch.procs`, `&chains`)
-//!   plus three scalars, rebuilt for free every slot.
+//!   is then just borrowed slices (`&scratch.procs`, the UP bitmap
+//!   `&scratch.up_words`, `&chains`) plus a few scalars, rebuilt for free
+//!   every slot.
 //! * **Per-slot scratch.** Every transient collection the phases need —
 //!   processor snapshots, the schedulable-task list, replica candidates,
-//!   placement output, the free-worker bitmask, the channel request queue,
+//!   placement output, the snapshot's UP bitmap, the channel request queue,
 //!   per-worker request flags, the completion list, crash/cancel spill
 //!   buffers and the timeline activity row — lives in a persistent
 //!   `SlotScratch` owned by the engine. Buffers are `clear()`ed and
@@ -76,7 +77,10 @@
 //!   per-worker dirty bit (see the [`WorkerStore`] dirty-bit contract) set
 //!   by every mutation a snapshot can observe; `snapshot_procs` restores
 //!   the states the last placement rounds masked and re-reads only dirty
-//!   workers. The AoS oracle opts out
+//!   workers, found by walking the set bits of the store's dirty words.
+//!   The snapshot's UP bitmap is patched alongside, so schedulers
+//!   enumerate UP candidates without scanning p snapshots. The AoS oracle
+//!   opts out
 //!   ([`WorkerStore::INCREMENTAL_SNAPSHOTS`]) and rebuilds from scratch,
 //!   so the equivalence grid cross-checks the two paths; debug builds also
 //!   assert patched ≡ rebuilt at every consult.
@@ -95,7 +99,7 @@
 //! --release`) pins this property as a regression test.
 
 use vg_core::share::{share_quotas, SharePolicy};
-use vg_core::view::{AppView, ProcSnapshot, SchedView};
+use vg_core::view::{set_bits, up_words_into, AppView, ProcSnapshot, SchedView};
 use vg_core::Scheduler;
 use vg_des::{Slot, SlotSpan};
 use vg_markov::availability::{ChainStats, ProcState};
@@ -315,10 +319,8 @@ macro_rules! for_each_busy_worker {
         let p = $workers.len();
         if S::HAS_BUSY_WORDS {
             for wi in 0..p.div_ceil(64) {
-                let mut word = $workers.busy_word(wi);
-                while word != 0 {
-                    let $q = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
+                for b in set_bits($workers.busy_word(wi)) {
+                    let $q = wi * 64 + b;
                     $body
                 }
             }
@@ -360,6 +362,11 @@ struct SlotScratch {
     /// re-read — instead of being rebuilt; the oracle layout rebuilds it
     /// from scratch every consult.
     procs: Vec<ProcSnapshot>,
+    /// The UP bitmap of `procs` ([`SchedView::up`]): bit `q % 64` of word
+    /// `q / 64` is set iff `procs[q].state` is `UP`, masking included.
+    /// Kept current wherever `procs` states change: the full rebuild, the
+    /// masked-state restore, the dirty patch and both mask sites.
+    up_words: Vec<u64>,
     /// Workers whose `UP` snapshot state a placement round masked to
     /// `RECLAIMED` since the last consult, which restores them.
     masked: Vec<u32>,
@@ -422,6 +429,7 @@ impl SlotScratch {
         self.procs_valid = false;
         self.masked.clear();
         reserve_total(&mut self.procs, p);
+        reserve_total(&mut self.up_words, p.div_ceil(64));
         reserve_total(&mut self.masked, p);
         reserve_total(&mut self.pool, m);
         reserve_total(&mut self.cands, m);
@@ -1328,13 +1336,26 @@ impl<S: WorkerStore> Simulation<S> {
             ..
         } = self;
         let p = workers.len();
-        if S::INCREMENTAL_SNAPSHOTS && scratch.procs_valid && scratch.procs.len() == p {
-            for &q in &scratch.masked {
+        let SlotScratch {
+            procs,
+            up_words,
+            masked,
+            procs_valid,
+            ..
+        } = scratch;
+        if S::INCREMENTAL_SNAPSHOTS && *procs_valid && procs.len() == p {
+            for &q in masked.iter() {
                 let q = q as usize;
-                scratch.procs[q].state = workers.state(q);
+                let state = workers.state(q);
+                procs[q].state = state;
+                up_words[q / 64] |= u64::from(state == ProcState::Up) << (q % 64);
             }
-            for (q, snap) in scratch.procs.iter_mut().enumerate() {
-                if workers.snapshot_dirty(q) {
+            for (wi, up_word) in up_words.iter_mut().enumerate() {
+                let dirty = workers.dirty_word(wi);
+                let mut up = 0u64;
+                for b in set_bits(dirty) {
+                    let q = wi * 64 + b;
+                    let snap = &mut procs[q];
                     let state = workers.state(q);
                     snap.state = state;
                     snap.has_program = workers.has_program(q, app.t_prog);
@@ -1342,15 +1363,17 @@ impl<S: WorkerStore> Simulation<S> {
                     // UP processors, so the pipeline walk is skipped for
                     // the rest (see NON_UP_DELAY).
                     snap.delay = if state == ProcState::Up {
+                        up |= 1u64 << b;
                         workers.delay_estimate(q, app.t_prog, app.t_data)
                     } else {
                         NON_UP_DELAY
                     };
                 }
+                *up_word = (*up_word & !dirty) | up;
             }
         } else {
-            scratch.procs.clear();
-            scratch.procs.extend((0..p).map(|q| {
+            procs.clear();
+            procs.extend((0..p).map(|q| {
                 let state = workers.state(q);
                 ProcSnapshot {
                     // q < u32::MAX: PlatformConfig::validate bounds the
@@ -1366,9 +1389,10 @@ impl<S: WorkerStore> Simulation<S> {
                     },
                 }
             }));
-            scratch.procs_valid = true;
+            up_words_into(procs, up_words);
+            *procs_valid = true;
         }
-        scratch.masked.clear();
+        masked.clear();
         // Incremental-vs-full oracle (debug): every consult must equal a
         // from-scratch rebuild, or a mutator skipped its dirty bit. Beyond
         // EXHAUSTIVE_DEBUG_MAX_P, rebuilding all p delay estimates per
@@ -1607,8 +1631,9 @@ impl<S: WorkerStore> Simulation<S> {
             // O(capacity), not O(p). Masking is cumulative across app
             // rounds — sound because room is monotone non-increasing
             // within the phase. Only UP entries flip (schedulers test
-            // nothing but `is_up`), and each is recorded so the next
-            // snapshot consult restores it.
+            // nothing but `is_up`), so the pass walks the UP bitmap; each
+            // flip clears its bit and is recorded so the next snapshot
+            // consult restores it.
             sub!(5, {
                 let Self {
                     workers, scratch, ..
@@ -1617,10 +1642,21 @@ impl<S: WorkerStore> Simulation<S> {
                 debug_assert!(scratch.room.iter().enumerate().all(|(q, &r)| {
                     (r > 0) == (workers.state(q) == ProcState::Up && workers.has_bind_room(q))
                 }));
-                for (q, (pr, &room)) in scratch.procs.iter_mut().zip(&scratch.room).enumerate() {
-                    if room == 0 && pr.state == ProcState::Up {
-                        pr.state = ProcState::Reclaimed;
-                        scratch.masked.push(q as u32);
+                let SlotScratch {
+                    procs,
+                    up_words,
+                    masked,
+                    room,
+                    ..
+                } = scratch;
+                for (wi, up_word) in up_words.iter_mut().enumerate() {
+                    for b in set_bits(*up_word) {
+                        let q = wi * 64 + b;
+                        if room[q] == 0 {
+                            procs[q].state = ProcState::Reclaimed;
+                            *up_word &= !(1u64 << b);
+                            masked.push(q as u32);
+                        }
                     }
                 }
             });
@@ -1751,10 +1787,16 @@ impl<S: WorkerStore> Simulation<S> {
                 let Self {
                     workers, scratch, ..
                 } = self;
-                let SlotScratch { procs, masked, .. } = scratch;
+                let SlotScratch {
+                    procs,
+                    up_words,
+                    masked,
+                    ..
+                } = scratch;
                 for_each_busy_worker!(workers, q, {
                     if workers.busy(q) && procs[q].state == ProcState::Up {
                         procs[q].state = ProcState::Reclaimed;
+                        up_words[q / 64] &= !(1u64 << (q % 64));
                         masked.push(q as u32);
                     }
                 });
@@ -1795,6 +1837,32 @@ impl<S: WorkerStore> Simulation<S> {
     /// Asks the scheduler for `count` placements over the current snapshot
     /// into `scratch.placements`, passing the room column when `with_room`.
     fn place_round(&mut self, count: usize, with_room: bool, app: Option<AppView>) {
+        // The UP bitmap must mirror the snapshot states it summarizes, or a
+        // patch or mask site skipped its bit (debug builds check every word
+        // up to EXHAUSTIVE_DEBUG_MAX_P, a slot-rotating window beyond).
+        #[cfg(debug_assertions)]
+        {
+            let SlotScratch {
+                procs, up_words, ..
+            } = &self.scratch;
+            let p = procs.len();
+            debug_assert_eq!(up_words.len(), p.div_ceil(64), "UP bitmap length");
+            if !p.is_multiple_of(64) {
+                debug_assert_eq!(up_words[p / 64] >> (p % 64), 0, "UP bits past p");
+            }
+            let exhaustive = exhaustive_debug_checks(p);
+            let base = (self.slot as usize).wrapping_mul(DEBUG_SAMPLE_WINDOW) % p.max(1);
+            for (q, snap) in procs.iter().enumerate() {
+                if !exhaustive && (q + p - base) % p >= DEBUG_SAMPLE_WINDOW {
+                    continue;
+                }
+                debug_assert_eq!(
+                    up_words[q / 64] >> (q % 64) & 1 != 0,
+                    snap.state.is_up(),
+                    "UP bitmap diverged from the snapshot on worker {q}"
+                );
+            }
+        }
         let Self {
             scratch,
             scheduler,
@@ -1805,6 +1873,7 @@ impl<S: WorkerStore> Simulation<S> {
         } = self;
         let view = SchedView {
             procs: &scratch.procs,
+            up: &scratch.up_words,
             chains,
             t_prog: comm.t_prog,
             t_data: comm.t_data,

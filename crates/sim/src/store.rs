@@ -36,6 +36,7 @@
 //! mutations set it, which deliberately do not, and how resets behave) is
 //! documented on [`WorkerStore`] itself.
 
+use vg_core::view::bit_word;
 use vg_des::{Slot, SlotSpan};
 use vg_markov::availability::ProcState;
 use vg_platform::ProcessorSpec;
@@ -273,13 +274,7 @@ pub trait WorkerStore: Default + Send {
     /// densely — correct for every layout, but only worth calling when
     /// [`Self::HAS_BUSY_WORDS`] says the layout maintains the column.
     fn busy_word(&self, wi: usize) -> u64 {
-        let mut word = 0u64;
-        let start = wi * 64;
-        let end = (start + 64).min(self.len());
-        for q in start..end {
-            word |= u64::from(self.busy(q)) << (q - start);
-        }
-        word
+        bit_word(self.len(), wi, |q| self.busy(q))
     }
 
     /// Per-state worker counts `[up, reclaimed, down]` for the current
@@ -304,6 +299,16 @@ pub trait WorkerStore: Default + Send {
     /// last [`Self::clear_snapshot_dirty`] — see the trait-level dirty-bit
     /// contract.
     fn snapshot_dirty(&self, q: usize) -> bool;
+
+    /// The 64-worker dirty bitmap word `wi`: bit `q % 64` of word `q / 64`
+    /// is [`Self::snapshot_dirty`] of worker `q`, words past the platform
+    /// tail zero-padded. The incremental snapshot pass walks its set bits,
+    /// so it costs O(dirty + p/64) rather than O(p). The default recomputes the
+    /// word from the per-worker bits (the oracle layout, which never
+    /// consumes it on the engine path); [`WorkerSoA`] stores the bitmap.
+    fn dirty_word(&self, wi: usize) -> u64 {
+        bit_word(self.len(), wi, |q| self.snapshot_dirty(q))
+    }
 
     /// Clears every worker's dirty bit (the snapshot consumer has caught
     /// up).
@@ -547,9 +552,12 @@ pub struct WorkerSoA {
     /// to a single byte read instead of three `Option` columns plus a
     /// `Vec` header chase. The SoA⇄AoS oracle grid pins its consistency.
     occupancy: Vec<u8>,
-    /// Snapshot dirty bits (hot: written by pipeline mutators, drained by
-    /// the incremental snapshot pass — see the [`WorkerStore`] contract).
-    dirty: Vec<bool>,
+    /// Snapshot dirty bitmap (see the [`WorkerStore`] contract): bit
+    /// `q % 64` of word `q / 64` is worker `q`'s dirty bit, bits past p
+    /// zero. Written by pipeline mutators, drained by the incremental
+    /// snapshot pass, which walks only the set bits
+    /// ([`WorkerStore::dirty_word`]).
+    dirty: Vec<u64>,
     // --- block summaries: one entry per SUMMARY_BLOCK workers -------------
     /// Busy workers (occupancy ≠ 0) per block; maintained by
     /// [`Self::occ_inc`] / [`Self::occ_sub`] on every 0 ↔ non-zero flip.
@@ -579,6 +587,12 @@ pub struct WorkerSoA {
 }
 
 impl WorkerSoA {
+    /// Sets worker `q`'s snapshot dirty bit.
+    #[inline]
+    fn mark_dirty(&mut self, q: usize) {
+        self.dirty[q / 64] |= 1u64 << (q % 64);
+    }
+
     /// Increments worker `q`'s occupancy byte, maintaining the block busy
     /// count. The documented pipeline bound — `pinned_count + bound.len()`
     /// never exceeds 2 (`has_bind_room` gates every bind; promotions clear
@@ -655,8 +669,12 @@ impl WorkerStore for WorkerSoA {
         refill(&mut self.occupancy, p, 0);
         // Everything about a fresh run is unknown to any snapshot consumer;
         // stale bits from a previous (possibly larger) platform must not
-        // leak through an arena reuse.
-        refill(&mut self.dirty, p, true);
+        // leak through an arena reuse. Only real workers are marked: the
+        // tail word's bits past p stay zero.
+        refill(&mut self.dirty, p.div_ceil(64), !0);
+        if let Some(tail) = self.dirty.last_mut() {
+            *tail >>= 64 * p.div_ceil(64) - p;
+        }
         // Fresh platform: everyone Reclaimed and idle — zero the summaries.
         let nblocks = p.div_ceil(SUMMARY_BLOCK);
         refill(&mut self.blk_busy, nblocks, 0);
@@ -710,7 +728,7 @@ impl WorkerStore for WorkerSoA {
                     // itself would mispredict at the chain's transition
                     // rate.
                     let flip = self.state[q] != src;
-                    self.dirty[q] |= flip;
+                    self.dirty[q / 64] |= u64::from(flip) << (q % 64);
                     let is_down = src == ProcState::Down;
                     if flip && is_down {
                         self.newly_down.push(q as u32);
@@ -744,7 +762,7 @@ impl WorkerStore for WorkerSoA {
     fn set_prog_done(&mut self, q: usize, v: SlotSpan) {
         if self.prog_done[q] != v {
             self.prog_done[q] = v;
-            self.dirty[q] = true;
+            self.mark_dirty(q);
         }
     }
 
@@ -767,7 +785,7 @@ impl WorkerStore for WorkerSoA {
     fn set_transfer(&mut self, q: usize, t: Option<TransferState>) {
         let had = self.transfer[q].is_some();
         self.transfer[q] = t;
-        self.dirty[q] = true;
+        self.mark_dirty(q);
         match (had, t.is_some()) {
             (false, true) => self.occ_inc(q),
             (true, false) => self.occ_sub(q, 1),
@@ -784,7 +802,7 @@ impl WorkerStore for WorkerSoA {
     fn set_buffered(&mut self, q: usize, b: Option<CopyId>) {
         let had = self.buffered[q].is_some();
         self.buffered[q] = b;
-        self.dirty[q] = true;
+        self.mark_dirty(q);
         match (had, b.is_some()) {
             (false, true) => self.occ_inc(q),
             (true, false) => self.occ_sub(q, 1),
@@ -801,7 +819,7 @@ impl WorkerStore for WorkerSoA {
     fn set_computing(&mut self, q: usize, c: Option<ComputeState>) {
         let had = self.computing[q].is_some();
         self.computing[q] = c;
-        self.dirty[q] = true;
+        self.mark_dirty(q);
         match (had, c.is_some()) {
             (false, true) => self.occ_inc(q),
             (true, false) => self.occ_sub(q, 1),
@@ -816,8 +834,9 @@ impl WorkerStore for WorkerSoA {
         // dirty bit.
         let c = self.computing[q].as_mut()?;
         c.done += 1;
-        self.dirty[q] = true;
-        Some((c.copy, c.done == self.w[q]))
+        let ticked = (c.copy, c.done == self.w[q]);
+        self.mark_dirty(q);
+        Some(ticked)
     }
 
     #[inline]
@@ -950,7 +969,7 @@ impl WorkerStore for WorkerSoA {
             changed = true;
         }
         if changed {
-            self.dirty[q] = true;
+            self.mark_dirty(q);
         }
     }
 
@@ -961,17 +980,17 @@ impl WorkerStore for WorkerSoA {
         if let Some(c) = self.computing[q].take_if(|c| c.copy.task == task) {
             removed.push(c.copy);
             self.occ_sub(q, 1);
-            self.dirty[q] = true;
+            self.mark_dirty(q);
         }
         if let Some(b) = self.buffered[q].take_if(|b| b.task == task) {
             removed.push(b);
             self.occ_sub(q, 1);
-            self.dirty[q] = true;
+            self.mark_dirty(q);
         }
         if let Some(t) = self.transfer[q].take_if(|t| t.copy.task == task) {
             removed.push(t.copy);
             self.occ_sub(q, 1);
-            self.dirty[q] = true;
+            self.mark_dirty(q);
         }
         // Bound removals stay clean: Delay(q) excludes bound copies ([D8]).
         let mut i = 0;
@@ -1008,12 +1027,17 @@ impl WorkerStore for WorkerSoA {
 
     #[inline]
     fn snapshot_dirty(&self, q: usize) -> bool {
-        self.dirty[q]
+        self.dirty[q / 64] & (1u64 << (q % 64)) != 0
+    }
+
+    #[inline]
+    fn dirty_word(&self, wi: usize) -> u64 {
+        self.dirty[wi]
     }
 
     #[inline]
     fn clear_snapshot_dirty(&mut self) {
-        self.dirty.fill(false);
+        self.dirty.fill(0);
     }
 
     fn assert_invariants(&self, q: usize, t_prog: SlotSpan, t_data: SlotSpan) {
@@ -1126,6 +1150,7 @@ mod tests {
                 "dirty bit {q}"
             );
         }
+        assert_dirty_words_agree(&soa, &aos, "script");
 
         // tick_compute advances identically (worker 0 computes: w = 3,
         // done = 1 → 2 → 3 completes; worker 2 computes nothing).
@@ -1154,6 +1179,59 @@ mod tests {
         assert_eq!(la, lb);
     }
 
+    /// SoA's stored dirty words equal the AoS default (recomputed from the
+    /// per-worker bits) on every word.
+    fn assert_dirty_words_agree(soa: &WorkerSoA, aos: &AosWorkers, ctx: &str) {
+        assert_eq!(soa.len(), aos.len());
+        for wi in 0..soa.len().div_ceil(64) {
+            assert_eq!(
+                soa.dirty_word(wi),
+                aos.dirty_word(wi),
+                "word {wi} after {ctx}"
+            );
+        }
+    }
+
+    /// The two layouts' dirty words agree word for word on a three-word
+    /// platform (the last word partial) through redraws, mutations, drains
+    /// and grow/shrink resets.
+    #[test]
+    fn soa_dirty_words_match_the_aos_default() {
+        use ProcState::{Down, Reclaimed, Up};
+        let (mut soa, mut aos) = (WorkerSoA::default(), AosWorkers::default());
+        for shape in [130usize, 70, 1, 130] {
+            soa.reset_for(specs(&vec![3; shape]).into_iter());
+            aos.reset_for(specs(&vec![3; shape]).into_iter());
+            assert_dirty_words_agree(&soa, &aos, "reset");
+            soa.clear_snapshot_dirty();
+            aos.clear_snapshot_dirty();
+            assert_dirty_words_agree(&soa, &aos, "clear");
+            let states: Vec<ProcState> = (0..shape).map(|q| [Up, Reclaimed, Down][q % 3]).collect();
+            soa.set_states(&states);
+            aos.set_states(&states);
+            assert_dirty_words_agree(&soa, &aos, "redraw");
+            soa.clear_snapshot_dirty();
+            aos.clear_snapshot_dirty();
+            for q in [0, 63, 64, 127, 129].into_iter().filter(|&q| q < shape) {
+                soa.set_prog_done(q, 1);
+                aos.set_prog_done(q, 1);
+            }
+            assert_dirty_words_agree(&soa, &aos, "progress");
+        }
+    }
+
+    /// Every dirty word equals its per-worker recomputation, so no bit at
+    /// or beyond `len()` is set.
+    fn assert_dirty_words_consistent<S: WorkerStore>(store: &S, ctx: &str) {
+        for wi in 0..store.len().div_ceil(64) {
+            assert_eq!(
+                store.dirty_word(wi),
+                bit_word(store.len(), wi, |q| store.snapshot_dirty(q)),
+                "word {wi} after {ctx}"
+            );
+        }
+    }
+
     /// The trait-level dirty-bit contract, checked against both layouts:
     /// snapshot-visible mutations set the bit, unobservable ones do not,
     /// and resets (arena reuse across resizes) never leak stale bits.
@@ -1163,8 +1241,10 @@ mod tests {
             (0..4).all(|q| store.snapshot_dirty(q)),
             "reset_for must mark everything dirty"
         );
+        assert_eq!(store.dirty_word(0), 0b1111, "reset marks only real workers");
         store.clear_snapshot_dirty();
         assert!((0..4).all(|q| !store.snapshot_dirty(q)));
+        assert_eq!(store.dirty_word(0), 0);
 
         // Program progress dirties its worker alone; an identical rewrite
         // stays clean.
@@ -1239,6 +1319,24 @@ mod tests {
         store.clear_snapshot_dirty();
         store.reset_for(specs(&[1, 2, 3, 4, 5, 6]).into_iter());
         assert!((0..6).all(|q| store.snapshot_dirty(q)));
+
+        // At p = 130 (the third word partial) no bit at or beyond p is
+        // set after a reset, nor after a shrinking or growing reuse.
+        let full_130 = [!0u64, !0, 0b11];
+        store.reset_for(specs(&[2; 130]).into_iter());
+        assert_eq!([0, 1, 2].map(|wi| store.dirty_word(wi)), full_130);
+        store.clear_snapshot_dirty();
+        store.set_prog_done(129, 1);
+        store.set_prog_done(64, 1);
+        assert_eq!([0, 1, 2].map(|wi| store.dirty_word(wi)), [0, 1, 0b10]);
+        assert_dirty_words_consistent(store, "progress at p = 130");
+        store.reset_for(specs(&[2; 70]).into_iter());
+        assert_eq!([0, 1].map(|wi| store.dirty_word(wi)), [!0, 0b11_1111]);
+        assert_dirty_words_consistent(store, "shrink to 70");
+        store.clear_snapshot_dirty();
+        store.reset_for(specs(&[2; 130]).into_iter());
+        assert_eq!([0, 1, 2].map(|wi| store.dirty_word(wi)), full_130);
+        assert_dirty_words_consistent(store, "regrow to 130");
     }
 
     #[test]
